@@ -772,8 +772,12 @@ pub fn check(a: &CheckArgs) -> Result<String, CliError> {
 mod tests {
     use super::*;
 
+    /// A directory of its own for each call, so tests running in parallel
+    /// never rewrite each other's files.
     fn tempdir() -> std::path::PathBuf {
-        let dir = std::env::temp_dir().join(format!("omnet-cli-{}", std::process::id()));
+        static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let seq = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let dir = std::env::temp_dir().join(format!("omnet-cli-{}-{seq}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         dir
     }

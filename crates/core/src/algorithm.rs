@@ -40,6 +40,9 @@
 //! * **delta level storage** — stored hop-class snapshots keep only the
 //!   per-level frontier additions and reconstruct `AtMost(k)` queries on
 //!   demand, cutting snapshot memory by roughly the convergence depth;
+//! * **sparse rows** — a materialized [`SourceProfiles`] row keeps only the
+//!   destinations its source reaches, so rows cost memory in proportion to
+//!   reach rather than to `n`;
 //! * **streaming all-pairs** — [`AllPairsProfiles::map_range`] hands each
 //!   source's fixpoint to a visitor as a borrowed [`ProfileView`] and
 //!   recycles the frontiers immediately, so a 10⁵-node all-pairs pass
@@ -384,11 +387,18 @@ impl ProfileScratch {
         self.in_flight = false;
     }
 
-    /// Moves the first `n` frontier slots out for a materialized
-    /// [`SourceProfiles`] row (the pooled slots revert to fresh empties)
-    /// and performs the same end-of-run cleanup as [`ProfileScratch::finish`].
-    fn take_rows(&mut self, n: usize) -> Vec<DeliveryFunction> {
-        let rows: Vec<DeliveryFunction> = self.cur[..n].iter_mut().map(std::mem::take).collect();
+    /// Moves the reached frontier slots out, ascending by destination, for
+    /// a materialized [`SourceProfiles`] row (the moved slots revert to
+    /// fresh empties) and performs the same end-of-run cleanup as
+    /// [`ProfileScratch::finish`]. Unreached slots are empty and stay put.
+    fn take_rows(&mut self) -> SparseRow {
+        self.reached.sort_unstable();
+        let rows = SparseRow(
+            self.reached
+                .iter()
+                .map(|&d| (d, std::mem::take(&mut self.cur[d as usize])))
+                .collect(),
+        );
         for &d in &self.reached {
             self.reached_words[(d >> 6) as usize] &= !(1u64 << (d & 63));
         }
@@ -400,11 +410,100 @@ impl ProfileScratch {
     }
 }
 
+/// The delivery function borrowed for every destination a [`SparseRow`]
+/// does not hold.
+static UNREACHED: DeliveryFunction = DeliveryFunction::empty();
+
+/// One source's delivery functions to the destinations it reaches (§4.4),
+/// ascending by destination. Every other destination's function is empty
+/// and not stored, so a row costs memory in proportion to its reach, not
+/// to the node count.
+#[derive(Debug, Clone)]
+struct SparseRow(Vec<(u32, DeliveryFunction)>);
+
+impl SparseRow {
+    /// The function to `dest`: one binary search, the shared empty
+    /// function when `dest` is unreached.
+    fn get(&self, dest: u32) -> &DeliveryFunction {
+        match self.0.binary_search_by_key(&dest, |e| e.0) {
+            Ok(i) => &self.0[i].1,
+            Err(_) => &UNREACHED,
+        }
+    }
+
+    /// Keeps the non-empty functions of a dense row (the spec's layout).
+    fn from_dense(row: Vec<DeliveryFunction>) -> SparseRow {
+        SparseRow(
+            row.into_iter()
+                .enumerate()
+                .filter(|(_, f)| !f.is_empty())
+                .map(|(d, f)| (d as u32, f))
+                .collect(),
+        )
+    }
+
+    /// Copies the frontiers of the `reached` destinations (sorted in place
+    /// first) out of the induction's pooled slots.
+    fn snapshot(cur: &[DeliveryFunction], reached: &mut [u32]) -> SparseRow {
+        reached.sort_unstable();
+        SparseRow(
+            reached
+                .iter()
+                .map(|&d| (d, cur[d as usize].clone()))
+                .collect(),
+        )
+    }
+
+    /// Compacts per-destination pair lists into frontiers.
+    fn from_pair_lists(lists: &[(u32, Vec<LdEa>)]) -> SparseRow {
+        SparseRow(
+            lists
+                .iter()
+                .map(|(d, pairs)| (*d, DeliveryFunction::from_pairs(pairs.iter().copied())))
+                .collect(),
+        )
+    }
+}
+
+/// Appends each run's pairs to the list of its destination, in one merge
+/// walk over two destination-sorted sequences; destinations only `runs`
+/// names get a new list.
+fn union_runs(lists: Vec<(u32, Vec<LdEa>)>, runs: &[(u32, Box<[LdEa]>)]) -> Vec<(u32, Vec<LdEa>)> {
+    let mut out = Vec::with_capacity(lists.len() + runs.len());
+    let mut runs = runs.iter().peekable();
+    for (d, mut pairs) in lists {
+        while let Some((t, run)) = runs.next_if(|r| r.0 < d) {
+            out.push((*t, run.to_vec()));
+        }
+        if let Some((_, run)) = runs.next_if(|r| r.0 == d) {
+            pairs.extend_from_slice(run);
+        }
+        out.push((d, pairs));
+    }
+    out.extend(runs.map(|(t, run)| (*t, run.to_vec())));
+    out
+}
+
+/// The pairs of `pairs` absent from `sorted` (ascending by `(ld, ea)`),
+/// in their original order.
+fn pairs_absent(pairs: &[LdEa], sorted: &[LdEa]) -> Box<[LdEa]> {
+    pairs
+        .iter()
+        .copied()
+        .filter(|p| {
+            sorted
+                .binary_search_by(|q| (q.ld, q.ea).cmp(&(p.ld, p.ea)))
+                .is_err()
+        })
+        .collect()
+}
+
 /// Stored hop-class snapshots, in one of the [`LevelStorage`] shapes.
 #[derive(Debug, Clone)]
 enum LevelStore {
-    /// `levels[k][dest]`: full frontier over paths of at most `k` hops.
-    Full(Vec<Vec<DeliveryFunction>>),
+    /// `levels[k]`: the full frontiers over paths of at most `k` hops, for
+    /// the destinations reached within `k` hops.
+    Full(Vec<SparseRow>),
     /// `per_level[k-1]`: the `(dest, added pairs)` of level `k`, ascending
     /// by dest. Level 0 is implicit (identity at the source).
     Delta(Vec<Vec<(u32, Box<[LdEa]>)>>),
@@ -477,13 +576,19 @@ struct InductionFixpoint {
 
 /// Delivery functions from one source to every destination, per hop class
 /// (§4.4).
+///
+/// Rows are sparse: only the destinations the source reaches hold a
+/// function, so a row's memory follows its reach rather than the node
+/// count. Every other destination answers with the empty function.
 #[derive(Debug, Clone)]
 pub struct SourceProfiles {
     source: NodeId,
     /// Hop-class snapshots for `k <= min(store_levels, converged_at)`.
     levels: LevelStore,
-    /// The fixpoint: unbounded hop count.
-    unlimited: Vec<DeliveryFunction>,
+    /// Size of the node universe the row was computed over.
+    num_nodes: u32,
+    /// The fixpoint (unbounded hop count), reached destinations only.
+    unlimited: SparseRow,
     /// First level at which no frontier changed (the fixpoint level).
     converged_at: usize,
     /// False if `max_levels` was hit before the fixpoint (pathological).
@@ -532,12 +637,12 @@ impl SourceProfiles {
         opts: ProfileOptions,
         scratch: &mut ProfileScratch,
     ) -> SourceProfiles {
-        let n = trace.num_nodes() as usize;
         let fix = SourceProfiles::induct_core(trace, arcs, source, opts, scratch, None, None);
-        let unlimited = scratch.take_rows(n);
+        let unlimited = scratch.take_rows();
         SourceProfiles {
             source,
             levels: fix.levels,
+            num_nodes: trace.num_nodes(),
             unlimited,
             converged_at: fix.converged_at,
             converged: fix.converged,
@@ -562,12 +667,12 @@ impl SourceProfiles {
         scratch: &mut ProfileScratch,
         deps: &mut Vec<(u32, u32)>,
     ) -> SourceProfiles {
-        let n = trace.num_nodes() as usize;
         let fix = SourceProfiles::induct_core(trace, arcs, source, opts, scratch, Some(deps), None);
-        let unlimited = scratch.take_rows(n);
+        let unlimited = scratch.take_rows();
         SourceProfiles {
             source,
             levels: fix.levels,
+            num_nodes: trace.num_nodes(),
             unlimited,
             converged_at: fix.converged_at,
             converged: fix.converged,
@@ -591,13 +696,13 @@ impl SourceProfiles {
         deps: &mut Vec<(u32, u32)>,
         seed: &SuffixSeed<'_>,
     ) -> SourceProfiles {
-        let n = trace.num_nodes() as usize;
         let fix =
             SourceProfiles::induct_core(trace, arcs, source, opts, scratch, Some(deps), Some(seed));
-        let unlimited = scratch.take_rows(n);
+        let unlimited = scratch.take_rows();
         SourceProfiles {
             source,
             levels: fix.levels,
+            num_nodes: trace.num_nodes(),
             unlimited,
             converged_at: fix.converged_at,
             converged: fix.converged,
@@ -680,14 +785,14 @@ impl SourceProfiles {
         reached_words[src >> 6] |= 1u64 << (src & 63);
         reached.push(source.0);
 
-        let mut full_levels: Vec<Vec<DeliveryFunction>> = Vec::new();
+        let mut full_levels: Vec<SparseRow> = Vec::new();
         let mut delta_levels: Vec<Vec<(u32, Box<[LdEa]>)>> = Vec::new();
         let start_level = match suffix {
             None => {
                 arena.push(LdEa::EMPTY);
                 delta_index.push((source.0, 0, 1));
                 if opts.level_storage == LevelStorage::FullClones {
-                    full_levels.push(cur[..n].to_vec());
+                    full_levels.push(SparseRow::snapshot(cur, reached));
                 }
                 1
             }
@@ -1089,7 +1194,7 @@ impl SourceProfiles {
             }
             if k <= opts.store_levels {
                 match opts.level_storage {
-                    LevelStorage::FullClones => full_levels.push(cur[..n].to_vec()),
+                    LevelStorage::FullClones => full_levels.push(SparseRow::snapshot(cur, reached)),
                     LevelStorage::Deltas => delta_levels.push(
                         delta_index
                             .iter()
@@ -1179,8 +1284,9 @@ impl SourceProfiles {
 
         SourceProfiles {
             source,
-            levels: LevelStore::Full(levels),
-            unlimited: cur,
+            levels: LevelStore::Full(levels.into_iter().map(SparseRow::from_dense).collect()),
+            num_nodes: trace.num_nodes(),
+            unlimited: SparseRow::from_dense(cur),
             converged_at,
             converged,
         }
@@ -1201,13 +1307,13 @@ impl SourceProfiles {
     /// `0..=k` and returns it owned.
     pub fn profile(&self, dest: NodeId, bound: HopBound) -> Cow<'_, DeliveryFunction> {
         match bound {
-            HopBound::Unlimited => Cow::Borrowed(&self.unlimited[dest.index()]),
+            HopBound::Unlimited => Cow::Borrowed(self.unlimited.get(dest.0)),
             HopBound::AtMost(k) => {
                 if k > self.levels.stored_levels() {
-                    return Cow::Borrowed(&self.unlimited[dest.index()]);
+                    return Cow::Borrowed(self.unlimited.get(dest.0));
                 }
                 match &self.levels {
-                    LevelStore::Full(v) => Cow::Borrowed(&v[k][dest.index()]),
+                    LevelStore::Full(v) => Cow::Borrowed(v[k].get(dest.0)),
                     LevelStore::Delta(per_level) => {
                         let mut pairs: Vec<LdEa> = Vec::new();
                         if dest == self.source {
@@ -1222,6 +1328,24 @@ impl SourceProfiles {
                     }
                 }
             }
+        }
+    }
+
+    /// A walker over `dest`'s hop classes `AtMost(1), AtMost(2), …` that
+    /// builds each from its predecessor (see [`HopClasses`]).
+    pub(crate) fn hop_classes(&self, dest: NodeId) -> HopClasses<'_> {
+        HopClasses {
+            row: self,
+            dest,
+            level: 0,
+            frontier: if dest == self.source {
+                DeliveryFunction::identity()
+            } else {
+                DeliveryFunction::empty()
+            },
+            cands: Vec::new(),
+            added: Vec::new(),
+            merge: Vec::new(),
         }
     }
 
@@ -1254,7 +1378,7 @@ impl SourceProfiles {
 
     /// Number of nodes in the trace this row was computed for.
     pub fn num_nodes(&self) -> usize {
-        self.unlimited.len()
+        self.num_nodes as usize
     }
 
     /// Decomposes this row into its portable, storage-agnostic parts for
@@ -1269,25 +1393,18 @@ impl SourceProfiles {
     /// `(dest, bound)` (Pareto union is insensitive to which dominated
     /// pairs a delta happened to record).
     pub fn to_parts(&self) -> SourceProfileParts {
-        let n = self.unlimited.len();
-        let levels: Vec<Vec<(u32, Box<[LdEa]>)>> = match &self.levels {
+        let levels: Vec<LevelRuns> = match &self.levels {
             LevelStore::Delta(per_level) => per_level.clone(),
-            LevelStore::Full(v) => (1..v.len())
-                .map(|k| {
-                    let mut out: Vec<(u32, Box<[LdEa]>)> = Vec::new();
-                    for (d, (cur, prev)) in v[k].iter().zip(&v[k - 1]).enumerate() {
-                        let prev = prev.pairs();
-                        let diff: Vec<LdEa> = cur
-                            .pairs()
-                            .iter()
-                            .copied()
-                            .filter(|p| !prev.contains(p))
-                            .collect();
-                        if !diff.is_empty() {
-                            out.push((d as u32, diff.into_boxed_slice()));
-                        }
-                    }
-                    out
+            LevelStore::Full(v) => v
+                .windows(2)
+                .map(|w| {
+                    w[1].0
+                        .iter()
+                        .filter_map(|(d, f)| {
+                            let diff = pairs_absent(f.pairs(), w[0].get(*d).pairs());
+                            (!diff.is_empty()).then_some((*d, diff))
+                        })
+                        .collect()
                 })
                 .collect(),
         };
@@ -1295,28 +1412,28 @@ impl SourceProfiles {
         // (levels past `store_levels`, or everything when no levels are
         // stored). Every *stored* pair is weakly dominated by some final
         // pair, so `stored ∪ tail` compacts back to exactly `unlimited`.
-        let mut stored: Vec<Vec<LdEa>> = vec![Vec::new(); n];
-        stored[self.source.index()].push(LdEa::EMPTY);
+        let mut stored: Vec<(u32, Vec<LdEa>)> = vec![(self.source.0, vec![LdEa::EMPTY])];
         for level in &levels {
-            for (d, pairs) in level {
-                stored[*d as usize].extend_from_slice(pairs);
-            }
+            stored = union_runs(stored, level);
         }
-        let mut tail: Vec<(u32, Box<[LdEa]>)> = Vec::new();
-        for (d, f) in self.unlimited.iter().enumerate() {
-            let extra: Vec<LdEa> = f
-                .pairs()
-                .iter()
-                .copied()
-                .filter(|p| !stored[d].contains(p))
-                .collect();
-            if !extra.is_empty() {
-                tail.push((d as u32, extra.into_boxed_slice()));
-            }
+        for (_, have) in &mut stored {
+            have.sort_unstable_by_key(|p| (p.ld, p.ea));
         }
+        let tail: LevelRuns = self
+            .unlimited
+            .0
+            .iter()
+            .filter_map(|(d, f)| {
+                let have = stored
+                    .binary_search_by_key(d, |e| e.0)
+                    .map_or(&[][..], |i| &stored[i].1);
+                let extra = pairs_absent(f.pairs(), have);
+                (!extra.is_empty()).then_some((*d, extra))
+            })
+            .collect();
         SourceProfileParts {
             source: self.source,
-            num_nodes: n as u32,
+            num_nodes: self.num_nodes,
             converged_at: self.converged_at.min(u32::MAX as usize) as u32,
             converged: self.converged,
             levels,
@@ -1368,52 +1485,75 @@ impl SourceProfiles {
         }
         check_run(None, &parts.tail)?;
 
-        let src = parts.source.index();
-        // Unbounded frontier: Pareto union of every stored delta plus the
-        // tail (exact — see `to_parts`).
-        let mut acc: Vec<Vec<LdEa>> = vec![Vec::new(); n];
-        acc[src].push(LdEa::EMPTY);
+        // Cumulative per-destination pairs after each level, one merge
+        // walk per level; the unbounded frontier is their Pareto union
+        // with the tail (exact — see `to_parts`).
+        let full_clones = storage == LevelStorage::FullClones;
+        let mut cum: Vec<(u32, Vec<LdEa>)> = vec![(parts.source.0, vec![LdEa::EMPTY])];
+        let mut full: Vec<SparseRow> = Vec::new();
+        if full_clones {
+            full.push(SparseRow::from_pair_lists(&cum));
+        }
         for level in &parts.levels {
-            for (d, pairs) in level {
-                acc[*d as usize].extend_from_slice(pairs);
+            cum = union_runs(cum, level);
+            if full_clones {
+                full.push(SparseRow::from_pair_lists(&cum));
             }
         }
-        for (d, pairs) in &parts.tail {
-            acc[*d as usize].extend_from_slice(pairs);
-        }
-        let unlimited: Vec<DeliveryFunction> = acc
-            .iter()
-            .map(|pairs| DeliveryFunction::from_pairs(pairs.clone()))
-            .collect();
-
-        let levels = match storage {
-            LevelStorage::Deltas => LevelStore::Delta(parts.levels),
-            LevelStorage::FullClones => {
-                let mut cum: Vec<Vec<LdEa>> = vec![Vec::new(); n];
-                cum[src].push(LdEa::EMPTY);
-                let mut row: Vec<DeliveryFunction> = vec![DeliveryFunction::empty(); n];
-                row[src] = DeliveryFunction::identity();
-                let mut full: Vec<Vec<DeliveryFunction>> = vec![row];
-                for level in &parts.levels {
-                    for (d, pairs) in level {
-                        cum[*d as usize].extend_from_slice(pairs);
-                    }
-                    full.push(
-                        cum.iter()
-                            .map(|pairs| DeliveryFunction::from_pairs(pairs.clone()))
-                            .collect(),
-                    );
-                }
-                LevelStore::Full(full)
-            }
+        let unlimited = SparseRow::from_pair_lists(&union_runs(cum, &parts.tail));
+        let levels = if full_clones {
+            LevelStore::Full(full)
+        } else {
+            LevelStore::Delta(parts.levels)
         };
         Ok(SourceProfiles {
             source: parts.source,
             levels,
+            num_nodes: parts.num_nodes,
             unlimited,
             converged_at: parts.converged_at as usize,
             converged: parts.converged,
         })
+    }
+}
+
+/// One destination's hop-class frontiers, asked in increasing hop count
+/// (§4.1). Under [`LevelStorage::Deltas`] the `AtMost(k)` frontier is the
+/// `AtMost(k-1)` one with level `k`'s delta run merged in, so a walk over
+/// `k = 1..=K` costs one merge per level instead of re-collecting and
+/// re-sorting every run `≤ k` for each `k`.
+pub(crate) struct HopClasses<'a> {
+    row: &'a SourceProfiles,
+    dest: NodeId,
+    /// The hop class `frontier` holds.
+    level: usize,
+    frontier: DeliveryFunction,
+    cands: Vec<LdEa>,
+    added: Vec<LdEa>,
+    merge: Vec<LdEa>,
+}
+
+impl HopClasses<'_> {
+    /// Equal to `row.profile(dest, bound)`. Asking a smaller `AtMost(k)`
+    /// than the previous one falls back to [`SourceProfiles::profile`].
+    pub(crate) fn profile(&mut self, bound: HopBound) -> Cow<'_, DeliveryFunction> {
+        let row = self.row;
+        let (LevelStore::Delta(per_level), HopBound::AtMost(k)) = (&row.levels, bound) else {
+            return row.profile(self.dest, bound);
+        };
+        if k < self.level || k > per_level.len() {
+            return row.profile(self.dest, bound);
+        }
+        for runs in &per_level[self.level..k] {
+            if let Ok(i) = runs.binary_search_by_key(&self.dest.0, |e| e.0) {
+                self.cands.extend_from_slice(&runs[i].1);
+                self.frontier
+                    .absorb_compacted(&mut self.cands, &mut self.added, &mut self.merge);
+                self.cands.clear();
+            }
+        }
+        self.level = k;
+        Cow::Borrowed(&self.frontier)
     }
 }
 
@@ -2342,6 +2482,28 @@ mod tests {
             AllPairsProfiles::from_rows(short),
             Err(ProfilePartsError::RowWidth { .. })
         ));
+    }
+
+    #[test]
+    fn contactless_source_row_holds_only_itself() {
+        let t = TraceBuilder::new()
+            .num_nodes(50)
+            .contact_secs(0, 1, 0.0, 10.0)
+            .build();
+        let arcs = Arcs::of(&t);
+        for opts in knob_combos() {
+            let row = SourceProfiles::compute(&t, &arcs, NodeId(7), opts);
+            let back = SourceProfiles::from_parts(row.to_parts(), opts.level_storage)
+                .expect("own parts are valid");
+            for r in [&row, &back] {
+                assert_eq!(r.num_nodes(), 50);
+                assert_eq!(
+                    r.unlimited.0,
+                    vec![(7, DeliveryFunction::identity())],
+                    "{opts:?}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -35,7 +35,7 @@ pub struct DeliveryFunction {
 
 impl DeliveryFunction {
     /// The empty function: no path ever, `del(t) = ∞` everywhere.
-    pub fn empty() -> DeliveryFunction {
+    pub const fn empty() -> DeliveryFunction {
         DeliveryFunction { pairs: Vec::new() }
     }
 

@@ -303,8 +303,11 @@ fn source_partial(
         if d == s {
             continue;
         }
+        // Bounds ascend in hop count (`CurveOptions::standard`), so each
+        // class is one merge on top of the previous one.
+        let mut classes = prof.hop_classes(d);
         for (bi, &bound) in opts.bounds.iter().enumerate() {
-            let f = prof.profile(d, bound);
+            let f = classes.profile(bound);
             for (w, &weight) in windows.iter().zip(weights) {
                 let curve = f.success_curve(*w, &opts.grid);
                 for (gi, v) in curve.into_iter().enumerate() {

@@ -33,7 +33,9 @@
 //! Every record carries `kind`, `name` and `elapsed`. For spans `elapsed`
 //! is the span duration in seconds (and `at` is the span start, as an
 //! offset from the sink epoch); for events and counter snapshots it is
-//! the emission time as an offset from the sink epoch.
+//! the emission time as an offset from the sink epoch. Span and event
+//! fields never reuse `kind`, `name`, `elapsed` or `at`: a duplicate key
+//! would shadow the record's own, so debug builds assert against it.
 //!
 //! # Overhead contract
 //!

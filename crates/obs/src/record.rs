@@ -9,6 +9,19 @@ use crate::json::{push_str, push_value, Value};
 use crate::{emit_line, enabled, offset_secs};
 use std::time::Instant;
 
+/// Keys every record writes ahead of its fields. A field under one of them
+/// would be a duplicate key, which JSON parsers resolve to the last value.
+const RESERVED_KEYS: [&str; 4] = ["kind", "name", "elapsed", "at"];
+
+/// Debug-build check that a span or event field does not reuse a
+/// reserved record key.
+fn debug_assert_field_key(key: &str) {
+    debug_assert!(
+        !RESERVED_KEYS.contains(&key),
+        "trace field `{key}` collides with a reserved record key"
+    );
+}
+
 /// Serializes and writes one record line with the required `kind`,
 /// `name`, `elapsed` prefix followed by `extra` fields.
 fn emit_record(
@@ -87,6 +100,7 @@ impl Span {
     /// Attaches a typed field to an already-bound span. No-op when
     /// inactive.
     pub fn record(&mut self, key: &'static str, value: impl Into<Value>) {
+        debug_assert_field_key(key);
         if self.start.is_some() {
             self.fields.push((key, value.into()));
         }
@@ -107,6 +121,9 @@ impl Drop for Span {
 /// disabled — but note the `fields` slice is built by the caller first,
 /// so hot paths with non-trivial fields should guard on [`enabled`].
 pub fn event(name: &'static str, fields: &[(&'static str, Value)]) {
+    for (key, _) in fields {
+        debug_assert_field_key(key);
+    }
     if !enabled() {
         return;
     }
@@ -166,6 +183,20 @@ mod tests {
             .and_then(|tok| tok.parse().ok())
             .expect("parse elapsed");
         assert!(elapsed >= 0.002, "span slept 2ms, recorded {elapsed}");
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "collides with a reserved record key")]
+    fn span_field_named_kind_is_rejected() {
+        let _ = span("clash").with("kind", 1u64);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "collides with a reserved record key")]
+    fn event_field_named_at_is_rejected() {
+        event("clash", &[("at", Value::U64(1))]);
     }
 
     #[test]

@@ -168,7 +168,7 @@ impl Engine {
     /// Answers one query. Emits one `serve.query` span per call and bumps
     /// the `serve.queries` / `serve.query_errors` counters.
     pub fn answer(&self, q: &Query) -> Result<QueryResponse, QueryError> {
-        let mut span = omnet_obs::span("serve.query").with("kind", kind(q));
+        let mut span = omnet_obs::span("serve.query").with("query", kind(q));
         crate::QUERIES.inc();
         let result = self.dispatch(q);
         span.record("ok", result.is_ok());

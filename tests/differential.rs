@@ -194,6 +194,34 @@ fn trace_strategy() -> impl Strategy<Value = Trace> {
         })
 }
 
+/// Strategy: a random trace over a universe where many nodes never meet
+/// anyone — the shape of internal-only presets, whose external devices
+/// have no contacts. Active nodes take the odd ids, so contactless ids sit
+/// between them as well as after them.
+fn contactless_trace_strategy() -> impl Strategy<Value = Trace> {
+    (
+        2u32..5,
+        0u32..4,
+        prop::collection::vec((0u32..5, 0u32..5, 0u32..400, 1u32..100), 1..10),
+    )
+        .prop_map(|(active, idle, rows)| {
+            let mut b = TraceBuilder::new().num_nodes(2 * active + idle);
+            for (u, v, start, dur) in rows {
+                let (u, v) = (u % active, v % active);
+                if u == v {
+                    continue;
+                }
+                b.push(Contact::secs(
+                    2 * u + 1,
+                    2 * v + 1,
+                    start as f64,
+                    (start + dur) as f64,
+                ));
+            }
+            b.build()
+        })
+}
+
 /// Every `ProfileOptions` knob combination, plus a truncated-storage variant
 /// that exercises the beyond-stored-levels fallback.
 fn knob_combos() -> Vec<ProfileOptions> {
@@ -449,6 +477,63 @@ proptest! {
                         e.source(),
                         step,
                         opts
+                    );
+                }
+            }
+        }
+    }
+
+    /// Sparse rows answer like the dense specification: on traces with
+    /// contactless nodes, every destination (unreached ones included) and
+    /// every bound gets the spec's function, the universe size survives,
+    /// and the artifact parts survive a `from_parts` round trip into
+    /// either storage — and equal the spec's own parts.
+    #[test]
+    fn sparse_rows_match_dense_spec_with_contactless_nodes(
+        trace in contactless_trace_strategy(),
+    ) {
+        let arcs = Arcs::of(&trace);
+        let n = trace.num_nodes() as usize;
+        let bounds: Vec<HopBound> = (0..=6usize)
+            .map(HopBound::AtMost)
+            .chain([HopBound::Unlimited])
+            .collect();
+        for opts in knob_combos() {
+            for s in trace.nodes() {
+                let row = SourceProfiles::compute(&trace, &arcs, s, opts);
+                let spec = SourceProfiles::compute_naive(&trace, &arcs, s, opts);
+                prop_assert_eq!(row.num_nodes(), n);
+                prop_assert_eq!(spec.num_nodes(), n);
+                for d in trace.nodes() {
+                    for &bound in &bounds {
+                        let (f, g) = (row.profile(d, bound), spec.profile(d, bound));
+                        prop_assert_eq!(
+                            f.pairs(),
+                            g.pairs(),
+                            "{}->{} under {:?} with {:?}",
+                            s,
+                            d,
+                            bound,
+                            opts
+                        );
+                    }
+                }
+                let parts = row.to_parts();
+                prop_assert_eq!(parts.num_nodes as usize, n);
+                let spec_parts = spec.to_parts();
+                prop_assert_eq!(&spec_parts, &parts, "source {} with {:?}", s, opts);
+                for storage in [LevelStorage::Deltas, LevelStorage::FullClones] {
+                    let back = SourceProfiles::from_parts(parts.clone(), storage)
+                        .expect("own parts are valid");
+                    prop_assert_eq!(back.num_nodes(), n);
+                    let back_parts = back.to_parts();
+                    prop_assert_eq!(
+                        &back_parts,
+                        &parts,
+                        "source {} with {:?} rebuilt as {:?}",
+                        s,
+                        opts,
+                        storage
                     );
                 }
             }
