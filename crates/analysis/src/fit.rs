@@ -1,6 +1,6 @@
 //! Tail-shape fitting for inter-contact time distributions.
 //!
-//! The paper's §3.4 leans on a known empirical controversy ([2],[9]): are
+//! The paper's §3.4 leans on a known empirical controversy (\[2\],\[9\]): are
 //! inter-contact times power-law or exponential? The standard diagnostic is
 //! to regress the empirical CCDF in log-log coordinates (power law:
 //! straight line of slope −α) versus lin-log coordinates (exponential:

@@ -130,10 +130,7 @@ pub(crate) fn decode_rows(
             levels,
             tail,
         };
-        rows.push(SourceProfiles::from_parts(
-            parts,
-            meta.options.level_storage,
-        )?);
+        rows.push(SourceProfiles::from_parts(parts)?);
     }
     if r.remaining() != 0 {
         return Err(ArtifactError::Corrupt {

@@ -1,13 +1,11 @@
-//! Property tests of the artifact format: for random traces, every
-//! `ProfileOptions` knob combination, and every shard split, write→load is
+//! Property tests of the artifact format: for random traces, random
+//! `store_levels` (full and truncated), and every shard split, write→load is
 //! semantically lossless — the reconstructed rows answer every
 //! `(dest, bound)` profile query identically to the in-memory engine —
 //! and random corruption is always rejected, never mis-decoded.
 
 use omnet_artifact::{load_set, load_shard, map_shard, write_set, ArtifactError, ArtifactMeta};
-use omnet_core::{
-    AllPairsProfiles, ArcPruning, HopBound, LevelStorage, ProfileOptions, SourceProfiles,
-};
+use omnet_core::{AllPairsProfiles, HopBound, ProfileOptions, SourceProfiles};
 use omnet_temporal::{NodeId, Trace, TraceBuilder};
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -31,21 +29,7 @@ fn trace_strategy() -> impl Strategy<Value = Trace> {
 }
 
 fn options_strategy() -> impl Strategy<Value = ProfileOptions> {
-    (0usize..6, 0u8..2, 0u8..2).prop_map(|(store, ap, ls)| {
-        ProfileOptions::builder()
-            .store_levels(store)
-            .arc_pruning(if ap == 0 {
-                ArcPruning::Exhaustive
-            } else {
-                ArcPruning::TimeIndexed
-            })
-            .level_storage(if ls == 0 {
-                LevelStorage::FullClones
-            } else {
-                LevelStorage::Deltas
-            })
-            .build()
-    })
+    (0usize..6).prop_map(|store| ProfileOptions::builder().store_levels(store).build())
 }
 
 fn tmp_dir(tag: &str) -> PathBuf {

@@ -1,5 +1,5 @@
 //! The paper's §4.4 scalability claim: the profile algorithm computes every
-//! start time at once, where the flood-at-every-boundary method ([18],
+//! start time at once, where the flood-at-every-boundary method (\[18\],
 //! `ZhangProfile`) pays one flood per contact boundary. This bench pits the
 //! two against each other — plus single-query Dijkstra and one flood for
 //! reference — on growing conference-trace slices.

@@ -70,8 +70,8 @@ mod preobs {
         pub converged_at: usize,
     }
 
-    /// The pre-obs `SourceProfiles::compute_with` default path, line for
-    /// line minus the telemetry.
+    /// The pre-obs pooled-scratch `SourceProfiles` induction on default
+    /// options, line for line minus the telemetry.
     pub fn compute(
         trace: &Trace,
         arcs: &Arcs,

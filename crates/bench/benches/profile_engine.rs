@@ -17,7 +17,7 @@
 //! ```
 
 use criterion::{black_box, BenchmarkId, Criterion};
-use omnet_core::{AllPairsProfiles, ArcPruning, LevelStorage, ProfileOptions};
+use omnet_core::{AllPairsProfiles, ProfileOptions};
 use omnet_mobility::Dataset;
 use omnet_temporal::transform::internal_only;
 use omnet_temporal::Trace;
@@ -142,44 +142,6 @@ fn bench_all_pairs(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_knob_ablation(c: &mut Criterion) {
-    let mut g = c.benchmark_group("profile_engine/knob_ablation");
-    g.sample_size(10);
-    let (name, trace) = presets().swap_remove(1);
-    let combos = [
-        (
-            "exhaustive+full",
-            ArcPruning::Exhaustive,
-            LevelStorage::FullClones,
-        ),
-        (
-            "exhaustive+delta",
-            ArcPruning::Exhaustive,
-            LevelStorage::Deltas,
-        ),
-        (
-            "indexed+full",
-            ArcPruning::TimeIndexed,
-            LevelStorage::FullClones,
-        ),
-        (
-            "indexed+delta",
-            ArcPruning::TimeIndexed,
-            LevelStorage::Deltas,
-        ),
-    ];
-    for (label, pruning, storage) in combos {
-        let opts = ProfileOptions::builder()
-            .arc_pruning(pruning)
-            .level_storage(storage)
-            .build();
-        g.bench_with_input(BenchmarkId::new(label, name), &trace, |b, t| {
-            b.iter(|| black_box(AllPairsProfiles::compute(t, opts)));
-        });
-    }
-    g.finish();
-}
-
 /// Best-of-`reps` wall-clock milliseconds for `f`.
 fn time_best_ms<T>(reps: usize, mut f: impl FnMut() -> T) -> f64 {
     let mut best = f64::INFINITY;
@@ -235,6 +197,5 @@ fn run_gate() {
 fn main() {
     let mut criterion = Criterion::default();
     bench_all_pairs(&mut criterion);
-    bench_knob_ablation(&mut criterion);
     run_gate();
 }

@@ -42,7 +42,7 @@ const SPEEDUP_FLOOR: f64 = 1.25;
 /// level, and insert-based absorption via `absorb_into`.
 mod prepr8 {
     use omnet_core::delivery::{compact_frontier_in_place, extend_frontier_into};
-    use omnet_core::{ArcPruning, DeliveryFunction, LevelStorage, ProfileOptions};
+    use omnet_core::{DeliveryFunction, ProfileOptions};
     use omnet_temporal::{Interval, LdEa, NodeId, Time, Trace};
 
     /// The old nested-`Vec` arc index (one heap allocation per node).
@@ -62,10 +62,6 @@ mod prepr8 {
                 list.sort_unstable_by_key(|a| (a.1.end, a.1.start, a.0));
             }
             PreArcs { from }
-        }
-
-        pub fn leaving(&self, node: NodeId) -> &[(u32, Interval)] {
-            &self.from[node.index()]
         }
 
         pub fn boardable(&self, node: NodeId, ea: Time) -> &[(u32, Interval)] {
@@ -102,8 +98,6 @@ mod prepr8 {
         #[allow(dead_code)]
         pub unlimited: Vec<DeliveryFunction>,
         #[allow(dead_code)]
-        pub full_levels: Vec<Vec<DeliveryFunction>>,
-        #[allow(dead_code)]
         pub delta_levels: Vec<Vec<(u32, Box<[LdEa]>)>>,
         #[allow(dead_code)]
         pub converged_at: usize,
@@ -123,11 +117,7 @@ mod prepr8 {
         scratch.reset(n);
         scratch.delta[source.index()].push(LdEa::EMPTY);
 
-        let mut full_levels: Vec<Vec<DeliveryFunction>> = Vec::new();
         let mut delta_levels: Vec<Vec<(u32, Box<[LdEa]>)>> = Vec::new();
-        if opts.level_storage == LevelStorage::FullClones {
-            full_levels.push(cur.clone());
-        }
         let mut converged_at = opts.max_levels;
 
         let PreScratch { cands, delta } = scratch;
@@ -137,23 +127,11 @@ mod prepr8 {
                     continue;
                 }
                 let node = NodeId(m as u32);
-                match opts.arc_pruning {
-                    ArcPruning::Exhaustive => {
-                        for &(to, iv) in arcs.leaving(node) {
-                            extend_frontier_into(d, iv, &mut cands[to as usize]);
-                        }
+                for &(to, iv) in arcs.boardable(node, d[0].ea) {
+                    if cur[to as usize].covers(iv) {
+                        continue;
                     }
-                    // `ArcPruning` is non-exhaustive; the gate only runs
-                    // default options, so route unknown variants like the
-                    // default.
-                    ArcPruning::TimeIndexed | _ => {
-                        for &(to, iv) in arcs.boardable(node, d[0].ea) {
-                            if cur[to as usize].covers(iv) {
-                                continue;
-                            }
-                            extend_frontier_into(d, iv, &mut cands[to as usize]);
-                        }
-                    }
+                    extend_frontier_into(d, iv, &mut cands[to as usize]);
                 }
             }
             let mut changed = false;
@@ -175,25 +153,19 @@ mod prepr8 {
                 break;
             }
             if k <= opts.store_levels {
-                match opts.level_storage {
-                    // non-exhaustive enum: unknown variants store deltas,
-                    // like the default the gate actually runs
-                    LevelStorage::FullClones => full_levels.push(cur.clone()),
-                    LevelStorage::Deltas | _ => delta_levels.push(
-                        delta
-                            .iter()
-                            .enumerate()
-                            .filter(|(_, d)| !d.is_empty())
-                            .map(|(d_idx, d)| (d_idx as u32, d.clone().into_boxed_slice()))
-                            .collect(),
-                    ),
-                }
+                delta_levels.push(
+                    delta
+                        .iter()
+                        .enumerate()
+                        .filter(|(_, d)| !d.is_empty())
+                        .map(|(d_idx, d)| (d_idx as u32, d.clone().into_boxed_slice()))
+                        .collect(),
+                );
             }
         }
 
         PreSourceProfiles {
             unlimited: cur,
-            full_levels,
             delta_levels,
             converged_at,
         }

@@ -1,7 +1,7 @@
 //! Extension 1 (§3.4, "Inter-contact time statistics"): replace the Poisson
 //! contact process by renewal processes with the *same rate* but different
 //! gap laws — deterministic, exponential, Pareto with finite variance, and
-//! Pareto with infinite variance (the empirically reported regime [9]).
+//! Pareto with infinite variance (the empirically reported regime \[9\]).
 //!
 //! Paper conjecture: the heavy tail inflates the **delay** of delay-optimal
 //! paths but has "a relatively small impact on hop-number".

@@ -1,7 +1,7 @@
 //! Extension 5 (§2/§3.4 context): the shape of the inter-contact time
 //! distribution.
 //!
-//! Karagiannis et al. [9] showed human inter-contact times look power-law
+//! Karagiannis et al. \[9\] showed human inter-contact times look power-law
 //! up to roughly half a day and decay exponentially beyond — the light-tail
 //! assumption of the paper's random models "holds only at the timescale of
 //! days and weeks". This experiment measures the synthetic data sets the

@@ -21,7 +21,7 @@
 //! # Engine hot path
 //!
 //! The engine-level optimizations keep the induction allocation-free,
-//! pruned, and shaped for large `N` (the knobs are differentially tested
+//! pruned, and shaped for large `N` (the engine is differentially tested
 //! against [`SourceProfiles::compute_naive`]):
 //!
 //! * **flat CSR arc index** — [`Arcs`] packs all directed arcs into one
@@ -89,37 +89,6 @@ pub enum HopBound {
     Unlimited,
 }
 
-/// How the §4.4 induction visits the arcs leaving a node when extending a
-/// level's delta summaries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[non_exhaustive]
-pub enum ArcPruning {
-    /// Visit every out-arc of every delta node (the pre-redesign loop).
-    Exhaustive,
-    /// Binary-search the end-sorted out-arc list to the first arc still
-    /// boardable by the delta's earliest arrival and skip all dead contacts
-    /// (exact: a summary with `EA > end` can never extend, fact (iv) of
-    /// §4.3).
-    #[default]
-    TimeIndexed,
-}
-
-/// How the per-hop-class frontier snapshots of the §4.4 induction are kept
-/// for later [`HopBound::AtMost`] queries.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-#[non_exhaustive]
-pub enum LevelStorage {
-    /// A full clone of all `N` frontiers per stored level: cheapest queries,
-    /// memory `O(levels × Σ frontier)`.
-    FullClones,
-    /// Only the pairs *added* at each level; an `AtMost(k)` query
-    /// reconstructs the frontier as the Pareto union of the deltas up to
-    /// `k`. Memory `O(Σ frontier)` — smaller by roughly the convergence
-    /// depth — at the price of an owned reconstruction per query.
-    #[default]
-    Deltas,
-}
-
 /// Options for the §4.4 profile computation.
 ///
 /// The struct is `#[non_exhaustive]`: construct it through
@@ -142,16 +111,11 @@ pub struct ProfileOptions {
     /// Hard cap on induction levels, as a safety net; the fixpoint in real
     /// traces arrives after about diameter-many levels.
     pub max_levels: usize,
-    /// Arc-visiting strategy of the induction's extension step.
-    pub arc_pruning: ArcPruning,
-    /// Representation of the stored hop-class snapshots.
-    pub level_storage: LevelStorage,
 }
 
 impl ProfileOptions {
     /// Starts a [`ProfileOptionsBuilder`] seeded with the defaults of the
-    /// §4.4 induction (store 10 levels, cap at 64, pruning and delta
-    /// storage on).
+    /// §4.4 induction (store 10 levels, cap at 64).
     pub fn builder() -> ProfileOptionsBuilder {
         ProfileOptionsBuilder {
             opts: ProfileOptions::default(),
@@ -164,8 +128,6 @@ impl Default for ProfileOptions {
         ProfileOptions {
             store_levels: 10,
             max_levels: 64,
-            arc_pruning: ArcPruning::default(),
-            level_storage: LevelStorage::default(),
         }
     }
 }
@@ -192,18 +154,6 @@ impl ProfileOptionsBuilder {
         self
     }
 
-    /// Choose the arc-visiting strategy.
-    pub fn arc_pruning(mut self, p: ArcPruning) -> Self {
-        self.opts.arc_pruning = p;
-        self
-    }
-
-    /// Choose the snapshot representation.
-    pub fn level_storage(mut self, s: LevelStorage) -> Self {
-        self.opts.level_storage = s;
-        self
-    }
-
     /// Finishes the builder.
     pub fn build(self) -> ProfileOptions {
         self.opts
@@ -218,9 +168,9 @@ impl ProfileOptionsBuilder {
 /// across per-source computations (and, via [`Arcs::leaving_contacts`],
 /// with the brute-force oracle and the naive spec).
 ///
-/// The end-sorted order is what makes [`ArcPruning::TimeIndexed`] a binary
-/// search: arcs whose interval ended before a summary's earliest arrival
-/// form a prefix of the row.
+/// The end-sorted order is what makes the induction's time-indexed arc
+/// pruning a binary search: arcs whose interval ended before a summary's
+/// earliest arrival form a prefix of the row.
 #[derive(Debug, Clone)]
 pub struct Arcs {
     /// `num_nodes + 1` offsets into `arcs`/`contact_ids`, non-decreasing.
@@ -442,18 +392,6 @@ impl SparseRow {
         )
     }
 
-    /// Copies the frontiers of the `reached` destinations (sorted in place
-    /// first) out of the induction's pooled slots.
-    fn snapshot(cur: &[DeliveryFunction], reached: &mut [u32]) -> SparseRow {
-        reached.sort_unstable();
-        SparseRow(
-            reached
-                .iter()
-                .map(|&d| (d, cur[d as usize].clone()))
-                .collect(),
-        )
-    }
-
     /// Compacts per-destination pair lists into frontiers.
     fn from_pair_lists(lists: &[(u32, Vec<LdEa>)]) -> SparseRow {
         SparseRow(
@@ -498,29 +436,9 @@ fn pairs_absent(pairs: &[LdEa], sorted: &[LdEa]) -> Box<[LdEa]> {
         .collect()
 }
 
-/// Stored hop-class snapshots, in one of the [`LevelStorage`] shapes.
-#[derive(Debug, Clone)]
-enum LevelStore {
-    /// `levels[k]`: the full frontiers over paths of at most `k` hops, for
-    /// the destinations reached within `k` hops.
-    Full(Vec<SparseRow>),
-    /// `per_level[k-1]`: the `(dest, added pairs)` of level `k`, ascending
-    /// by dest. Level 0 is implicit (identity at the source).
-    Delta(Vec<Vec<(u32, Box<[LdEa]>)>>),
-}
-
-impl LevelStore {
-    /// Largest hop class stored exactly.
-    fn stored_levels(&self) -> usize {
-        match self {
-            LevelStore::Full(v) => v.len().saturating_sub(1),
-            LevelStore::Delta(v) => v.len(),
-        }
-    }
-}
-
 /// One induction level's stored delta runs: `(dest, added pairs)`,
-/// ascending by destination (§4.4 — the [`LevelStorage::Deltas`] shape).
+/// ascending by destination (§4.4). A row keeps one per stored level;
+/// level 0 (identity at the source) is implicit.
 pub(crate) type LevelRuns = Vec<(u32, Box<[LdEa]>)>;
 
 /// Reconstruction seed for a level-suffix replay (§4.4 incremental
@@ -569,7 +487,7 @@ pub(crate) struct RepairSeed<'a> {
 /// themselves (which stay in the scratch for the caller to materialize or
 /// visit in place).
 struct InductionFixpoint {
-    levels: LevelStore,
+    levels: Vec<LevelRuns>,
     converged_at: usize,
     converged: bool,
 }
@@ -583,8 +501,10 @@ struct InductionFixpoint {
 #[derive(Debug, Clone)]
 pub struct SourceProfiles {
     source: NodeId,
-    /// Hop-class snapshots for `k <= min(store_levels, converged_at)`.
-    levels: LevelStore,
+    /// `levels[k-1]`: the delta runs of hop class `k`, for `k <=
+    /// min(store_levels, converged_at)`. An `AtMost(k)` query reconstructs
+    /// its frontier as the Pareto union of the runs up to `k`.
+    levels: Vec<LevelRuns>,
     /// Size of the node universe the row was computed over.
     num_nodes: u32,
     /// The fixpoint (unbounded hop count), reached destinations only.
@@ -609,22 +529,6 @@ impl SourceProfiles {
     ) -> SourceProfiles {
         let mut scratch = ProfileScratch::default();
         SourceProfiles::induct(trace, arcs, source, opts, &mut scratch)
-    }
-
-    /// Runs the §4.4 induction for one source, reusing `scratch`'s buffers.
-    #[deprecated(
-        since = "0.1.0",
-        note = "scratch pooling is an engine detail now; use `SourceProfiles::compute` \
-                for one source or `AllPairsProfiles::compute_range` for a batch"
-    )]
-    pub fn compute_with(
-        trace: &Trace,
-        arcs: &Arcs,
-        source: NodeId,
-        opts: ProfileOptions,
-        scratch: &mut ProfileScratch,
-    ) -> SourceProfiles {
-        SourceProfiles::induct(trace, arcs, source, opts, scratch)
     }
 
     /// The materializing induction entry point: runs
@@ -709,14 +613,10 @@ impl SourceProfiles {
         }
     }
 
-    /// The stored per-level delta runs under [`LevelStorage::Deltas`]
-    /// (`None` under full clones) — the reconstruction substrate for
+    /// The stored per-level delta runs — the reconstruction substrate for
     /// suffix replays (§4.4).
-    pub(crate) fn delta_runs(&self) -> Option<&[LevelRuns]> {
-        match &self.levels {
-            LevelStore::Delta(v) => Some(v),
-            LevelStore::Full(_) => None,
-        }
+    pub(crate) fn delta_runs(&self) -> &[LevelRuns] {
+        &self.levels
     }
 
     /// The induction body shared by every entry point, materializing or
@@ -748,8 +648,7 @@ impl SourceProfiles {
     /// run at all: the frontier state they would produce is reconstructed
     /// by re-absorbing the stored delta runs (each run re-adds exactly, so
     /// the state is byte-identical), and the replay starts at
-    /// `prefix.len() + 1`. Requires [`LevelStorage::Deltas`] and `deps`
-    /// recording.
+    /// `prefix.len() + 1`. Requires `deps` recording.
     fn induct_core(
         trace: &Trace,
         arcs: &Arcs,
@@ -785,15 +684,11 @@ impl SourceProfiles {
         reached_words[src >> 6] |= 1u64 << (src & 63);
         reached.push(source.0);
 
-        let mut full_levels: Vec<SparseRow> = Vec::new();
-        let mut delta_levels: Vec<Vec<(u32, Box<[LdEa]>)>> = Vec::new();
+        let mut levels: Vec<LevelRuns> = Vec::new();
         let start_level = match suffix {
             None => {
                 arena.push(LdEa::EMPTY);
                 delta_index.push((source.0, 0, 1));
-                if opts.level_storage == LevelStorage::FullClones {
-                    full_levels.push(SparseRow::snapshot(cur, reached));
-                }
                 1
             }
             Some(seed) => {
@@ -806,11 +701,6 @@ impl SourceProfiles {
                 debug_assert!(
                     !seed.prefix.is_empty(),
                     "suffix replay starts at level >= 2; use a full induction instead"
-                );
-                debug_assert_eq!(
-                    opts.level_storage,
-                    LevelStorage::Deltas,
-                    "suffix replay reconstructs from stored delta runs"
                 );
                 for runs in seed.prefix {
                     for (t, run) in runs.iter() {
@@ -834,7 +724,7 @@ impl SourceProfiles {
                         delta_index.push((*t, lo, arena.len() as u32));
                     }
                 }
-                delta_levels.extend(seed.prefix.iter().cloned());
+                levels.extend(seed.prefix.iter().cloned());
                 seed.prefix.len() + 1
             }
         };
@@ -968,82 +858,51 @@ impl SourceProfiles {
                 let node = NodeId(m);
                 // `d` is a compacted frontier, so its first pair carries the
                 // minimum EA — the boardability threshold for the whole
-                // delta.
-                match opts.arc_pruning {
-                    ArcPruning::Exhaustive => {
-                        let cids = arcs.leaving_contacts(node);
-                        for (j, &(to, iv)) in arcs.leaving(node).iter().enumerate() {
-                            let t = to as usize;
-                            if filtered && affected_words[t >> 6] & (1u64 << (t & 63)) == 0 {
-                                continue;
-                            }
-                            if dirty[t >> 6] & (1u64 << (t & 63)) == 0 {
-                                dirty[t >> 6] |= 1u64 << (t & 63);
-                                touched.push(to);
-                            }
-                            let before = cands[t].len();
-                            delivery::extend_frontier_into(d, iv, &mut cands[t]);
-                            if deps.is_some() && cands[t].len() > before {
-                                let cid = cids[j].0;
-                                if !dep_seen[cid as usize] {
-                                    for &p in &cands[t][before..] {
-                                        tags[t].push((p, cid));
-                                    }
+                // delta. Arcs that ended before it can never extend any of
+                // its summaries (fact (iv) of §4.3), so one binary search
+                // over the end-sorted row skips them all.
+                let boardable = arcs.boardable(node, d[0].ea);
+                let cut = arcs.leaving(node).len() - boardable.len();
+                time_pruned += cut as u64;
+                let min_ea = d[0].ea;
+                let max_ld = d[d.len() - 1].ld;
+                for (j, &(to, iv)) in boardable.iter().enumerate() {
+                    let t = to as usize;
+                    if filtered && affected_words[t >> 6] & (1u64 << (t & 63)) == 0 {
+                        continue;
+                    }
+                    // Every candidate this arc can produce is weakly
+                    // dominated by the batch corner `(min(max LD, end),
+                    // max(min EA, start))`; if the destination frontier
+                    // dominates even the corner, the whole arc is dead
+                    // (exact skip, strictly stronger than testing the arc
+                    // rectangle alone).
+                    let corner = LdEa {
+                        ld: max_ld.min(iv.end),
+                        ea: min_ea.max(iv.start),
+                    };
+                    if cur[t].dominates_point(corner.ld, corner.ea) {
+                        cover_skipped += 1;
+                        continue;
+                    }
+                    // Region-structured extension with the dominance
+                    // filter fused in: candidates the frontier already
+                    // dominates never reach the absorb step (the added set
+                    // is unchanged).
+                    let before = cands[t].len();
+                    delivery::extend_frontier_filtered_into(d, iv, cur[t].pairs(), &mut cands[t]);
+                    if cands[t].len() > before {
+                        if deps.is_some() {
+                            let cid = arcs.leaving_contacts(node)[cut + j].0;
+                            if !dep_seen[cid as usize] {
+                                for &p in &cands[t][before..] {
+                                    tags[t].push((p, cid));
                                 }
                             }
                         }
-                    }
-                    ArcPruning::TimeIndexed => {
-                        let boardable = arcs.boardable(node, d[0].ea);
-                        let cut = arcs.leaving(node).len() - boardable.len();
-                        time_pruned += cut as u64;
-                        let min_ea = d[0].ea;
-                        let max_ld = d[d.len() - 1].ld;
-                        for (j, &(to, iv)) in boardable.iter().enumerate() {
-                            let t = to as usize;
-                            if filtered && affected_words[t >> 6] & (1u64 << (t & 63)) == 0 {
-                                continue;
-                            }
-                            // Every candidate this arc can produce is
-                            // weakly dominated by the batch corner
-                            // `(min(max LD, end), max(min EA, start))`; if
-                            // the destination frontier dominates even the
-                            // corner, the whole arc is dead (exact skip,
-                            // strictly stronger than testing the arc
-                            // rectangle alone).
-                            let corner = LdEa {
-                                ld: max_ld.min(iv.end),
-                                ea: min_ea.max(iv.start),
-                            };
-                            if cur[t].dominates_point(corner.ld, corner.ea) {
-                                cover_skipped += 1;
-                                continue;
-                            }
-                            // Region-structured extension with the
-                            // dominance filter fused in: candidates the
-                            // frontier already dominates never reach the
-                            // absorb step (the added set is unchanged).
-                            let before = cands[t].len();
-                            delivery::extend_frontier_filtered_into(
-                                d,
-                                iv,
-                                cur[t].pairs(),
-                                &mut cands[t],
-                            );
-                            if cands[t].len() > before {
-                                if deps.is_some() {
-                                    let cid = arcs.leaving_contacts(node)[cut + j].0;
-                                    if !dep_seen[cid as usize] {
-                                        for &p in &cands[t][before..] {
-                                            tags[t].push((p, cid));
-                                        }
-                                    }
-                                }
-                                if dirty[t >> 6] & (1u64 << (t & 63)) == 0 {
-                                    dirty[t >> 6] |= 1u64 << (t & 63);
-                                    touched.push(to);
-                                }
-                            }
+                        if dirty[t >> 6] & (1u64 << (t & 63)) == 0 {
+                            dirty[t >> 6] |= 1u64 << (t & 63);
+                            touched.push(to);
                         }
                     }
                 }
@@ -1051,8 +910,8 @@ impl SourceProfiles {
             // Absorption: fold candidates into the frontiers of exactly the
             // touched destinations, recording what genuinely extended them
             // as the next level's arena runs. Touched ids are sorted so the
-            // runs ascend by destination (the Deltas store binary-searches
-            // them, and determinism requires a canonical order).
+            // runs ascend by destination (stored level runs are
+            // binary-searched, and determinism requires a canonical order).
             touched.sort_unstable();
             frontier_touched += touched.len() as u64;
             arena.clear();
@@ -1193,20 +1052,12 @@ impl SourceProfiles {
                 break;
             }
             if k <= opts.store_levels {
-                match opts.level_storage {
-                    LevelStorage::FullClones => full_levels.push(SparseRow::snapshot(cur, reached)),
-                    LevelStorage::Deltas => delta_levels.push(
-                        delta_index
-                            .iter()
-                            .map(|&(t, lo, hi)| {
-                                (
-                                    t,
-                                    arena[lo as usize..hi as usize].to_vec().into_boxed_slice(),
-                                )
-                            })
-                            .collect(),
-                    ),
-                }
+                levels.push(
+                    delta_index
+                        .iter()
+                        .map(|&(t, lo, hi)| (t, arena[lo as usize..hi as usize].into()))
+                        .collect(),
+                );
             }
         }
 
@@ -1217,10 +1068,6 @@ impl SourceProfiles {
         FRONTIER_TOUCHED.add(frontier_touched);
         ARENA_HWM.record_max(arena_hwm);
 
-        let levels = match opts.level_storage {
-            LevelStorage::FullClones => LevelStore::Full(full_levels),
-            LevelStorage::Deltas => LevelStore::Delta(delta_levels),
-        };
         InductionFixpoint {
             levels,
             converged_at,
@@ -1235,9 +1082,9 @@ impl SourceProfiles {
     /// Output is identical to [`SourceProfiles::compute`] (asserted by tests
     /// and used as an executable specification); the cost per level is the
     /// whole frontier instead of the just-added pairs, which is the
-    /// difference the `ablation` criterion bench quantifies. The
-    /// `arc_pruning` and `level_storage` knobs are ignored: the spec always
-    /// scans every arc and stores full snapshots.
+    /// difference the `ablation` criterion bench quantifies. The spec scans
+    /// every arc and keeps a dense snapshot per level; only at the end are
+    /// consecutive snapshots diffed into the row's stored delta runs.
     pub fn compute_naive(
         trace: &Trace,
         arcs: &Arcs,
@@ -1282,9 +1129,20 @@ impl SourceProfiles {
             }
         }
 
+        let levels = levels
+            .windows(2)
+            .map(|w| {
+                (0..n)
+                    .filter_map(|d| {
+                        let diff = pairs_absent(w[1][d].pairs(), w[0][d].pairs());
+                        (!diff.is_empty()).then_some((d as u32, diff))
+                    })
+                    .collect()
+            })
+            .collect();
         SourceProfiles {
             source,
-            levels: LevelStore::Full(levels.into_iter().map(SparseRow::from_dense).collect()),
+            levels,
             num_nodes: trace.num_nodes(),
             unlimited: SparseRow::from_dense(cur),
             converged_at,
@@ -1299,35 +1157,26 @@ impl SourceProfiles {
 
     /// The delivery function to `dest` under `bound`.
     ///
-    /// `AtMost(k)` beyond the stored levels returns the unbounded frontier,
-    /// which is exact whenever `k >= converged_at` and an upper bound
-    /// otherwise. Under [`LevelStorage::FullClones`] the result always
-    /// borrows; under [`LevelStorage::Deltas`] a stored `AtMost(k)` query
-    /// reconstructs the frontier as the Pareto union of the level deltas
-    /// `0..=k` and returns it owned.
+    /// `AtMost(k)` beyond the stored levels returns the unbounded frontier
+    /// (borrowed), which is exact whenever `k >= converged_at` and an upper
+    /// bound otherwise. A stored `AtMost(k)` query reconstructs the
+    /// frontier as the Pareto union of the level deltas `0..=k` and returns
+    /// it owned.
     pub fn profile(&self, dest: NodeId, bound: HopBound) -> Cow<'_, DeliveryFunction> {
         match bound {
-            HopBound::Unlimited => Cow::Borrowed(self.unlimited.get(dest.0)),
-            HopBound::AtMost(k) => {
-                if k > self.levels.stored_levels() {
-                    return Cow::Borrowed(self.unlimited.get(dest.0));
+            HopBound::AtMost(k) if k <= self.levels.len() => {
+                let mut pairs: Vec<LdEa> = Vec::new();
+                if dest == self.source {
+                    pairs.push(LdEa::EMPTY);
                 }
-                match &self.levels {
-                    LevelStore::Full(v) => Cow::Borrowed(v[k].get(dest.0)),
-                    LevelStore::Delta(per_level) => {
-                        let mut pairs: Vec<LdEa> = Vec::new();
-                        if dest == self.source {
-                            pairs.push(LdEa::EMPTY);
-                        }
-                        for level in &per_level[..k] {
-                            if let Ok(i) = level.binary_search_by_key(&dest.0, |(d, _)| *d) {
-                                pairs.extend_from_slice(&level[i].1);
-                            }
-                        }
-                        Cow::Owned(DeliveryFunction::from_pairs(pairs))
+                for level in &self.levels[..k] {
+                    if let Ok(i) = level.binary_search_by_key(&dest.0, |(d, _)| *d) {
+                        pairs.extend_from_slice(&level[i].1);
                     }
                 }
+                Cow::Owned(DeliveryFunction::from_pairs(pairs))
             }
+            _ => Cow::Borrowed(self.unlimited.get(dest.0)),
         }
     }
 
@@ -1373,7 +1222,7 @@ impl SourceProfiles {
 
     /// Largest `k` for which `AtMost(k)` snapshots are stored exactly.
     pub fn stored_levels(&self) -> usize {
-        self.levels.stored_levels()
+        self.levels.len()
     }
 
     /// Number of nodes in the trace this row was computed for.
@@ -1381,39 +1230,20 @@ impl SourceProfiles {
         self.num_nodes as usize
     }
 
-    /// Decomposes this row into its portable, storage-agnostic parts for
-    /// persistence.
+    /// Decomposes this row into its portable parts for persistence: the
+    /// stored level deltas plus the unbounded-frontier tail.
     ///
-    /// The parts hold level deltas regardless of the in-memory
-    /// [`LevelStorage`]: under [`LevelStorage::FullClones`] each stored
-    /// level is diffed against its predecessor first. The decomposition is
-    /// lossless up to frontier semantics — reassembling with
+    /// The decomposition is lossless — reassembling with
     /// [`SourceProfiles::from_parts`] yields a row whose
     /// [`SourceProfiles::profile`] answers are identical for every
-    /// `(dest, bound)` (Pareto union is insensitive to which dominated
-    /// pairs a delta happened to record).
+    /// `(dest, bound)`.
     pub fn to_parts(&self) -> SourceProfileParts {
-        let levels: Vec<LevelRuns> = match &self.levels {
-            LevelStore::Delta(per_level) => per_level.clone(),
-            LevelStore::Full(v) => v
-                .windows(2)
-                .map(|w| {
-                    w[1].0
-                        .iter()
-                        .filter_map(|(d, f)| {
-                            let diff = pairs_absent(f.pairs(), w[0].get(*d).pairs());
-                            (!diff.is_empty()).then_some((*d, diff))
-                        })
-                        .collect()
-                })
-                .collect(),
-        };
         // Tail: unbounded-frontier pairs not present in any stored delta
         // (levels past `store_levels`, or everything when no levels are
         // stored). Every *stored* pair is weakly dominated by some final
         // pair, so `stored ∪ tail` compacts back to exactly `unlimited`.
         let mut stored: Vec<(u32, Vec<LdEa>)> = vec![(self.source.0, vec![LdEa::EMPTY])];
-        for level in &levels {
+        for level in &self.levels {
             stored = union_runs(stored, level);
         }
         for (_, have) in &mut stored {
@@ -1436,7 +1266,7 @@ impl SourceProfiles {
             num_nodes: self.num_nodes,
             converged_at: self.converged_at.min(u32::MAX as usize) as u32,
             converged: self.converged,
-            levels,
+            levels: self.levels.clone(),
             tail,
         }
     }
@@ -1446,13 +1276,8 @@ impl SourceProfiles {
     ///
     /// Rejects out-of-range nodes, unsorted destination runs, and runs that
     /// are not valid Pareto frontiers with a typed [`ProfilePartsError`] —
-    /// corrupted input never yields a row that answers garbage. `storage`
-    /// chooses the in-memory snapshot representation to rebuild; it need
-    /// not match the representation the parts were taken from.
-    pub fn from_parts(
-        parts: SourceProfileParts,
-        storage: LevelStorage,
-    ) -> Result<SourceProfiles, ProfilePartsError> {
+    /// corrupted input never yields a row that answers garbage.
+    pub fn from_parts(parts: SourceProfileParts) -> Result<SourceProfiles, ProfilePartsError> {
         let n = parts.num_nodes as usize;
         if parts.source.index() >= n {
             return Err(ProfilePartsError::NodeOutOfRange {
@@ -1488,27 +1313,14 @@ impl SourceProfiles {
         // Cumulative per-destination pairs after each level, one merge
         // walk per level; the unbounded frontier is their Pareto union
         // with the tail (exact — see `to_parts`).
-        let full_clones = storage == LevelStorage::FullClones;
         let mut cum: Vec<(u32, Vec<LdEa>)> = vec![(parts.source.0, vec![LdEa::EMPTY])];
-        let mut full: Vec<SparseRow> = Vec::new();
-        if full_clones {
-            full.push(SparseRow::from_pair_lists(&cum));
-        }
         for level in &parts.levels {
             cum = union_runs(cum, level);
-            if full_clones {
-                full.push(SparseRow::from_pair_lists(&cum));
-            }
         }
         let unlimited = SparseRow::from_pair_lists(&union_runs(cum, &parts.tail));
-        let levels = if full_clones {
-            LevelStore::Full(full)
-        } else {
-            LevelStore::Delta(parts.levels)
-        };
         Ok(SourceProfiles {
             source: parts.source,
-            levels,
+            levels: parts.levels,
             num_nodes: parts.num_nodes,
             unlimited,
             converged_at: parts.converged_at as usize,
@@ -1518,8 +1330,8 @@ impl SourceProfiles {
 }
 
 /// One destination's hop-class frontiers, asked in increasing hop count
-/// (§4.1). Under [`LevelStorage::Deltas`] the `AtMost(k)` frontier is the
-/// `AtMost(k-1)` one with level `k`'s delta run merged in, so a walk over
+/// (§4.1). The `AtMost(k)` frontier is the `AtMost(k-1)` one with level
+/// `k`'s delta run merged in, so a walk over
 /// `k = 1..=K` costs one merge per level instead of re-collecting and
 /// re-sorting every run `≤ k` for each `k`.
 pub(crate) struct HopClasses<'a> {
@@ -1538,13 +1350,13 @@ impl HopClasses<'_> {
     /// than the previous one falls back to [`SourceProfiles::profile`].
     pub(crate) fn profile(&mut self, bound: HopBound) -> Cow<'_, DeliveryFunction> {
         let row = self.row;
-        let (LevelStore::Delta(per_level), HopBound::AtMost(k)) = (&row.levels, bound) else {
+        let HopBound::AtMost(k) = bound else {
             return row.profile(self.dest, bound);
         };
-        if k < self.level || k > per_level.len() {
+        if k < self.level || k > row.levels.len() {
             return row.profile(self.dest, bound);
         }
-        for runs in &per_level[self.level..k] {
+        for runs in &row.levels[self.level..k] {
             if let Ok(i) = runs.binary_search_by_key(&self.dest.0, |e| e.0) {
                 self.cands.extend_from_slice(&runs[i].1);
                 self.frontier
@@ -1920,20 +1732,13 @@ mod tests {
             .build()
     }
 
-    /// Every knob combination, for exhaustive option-space tests.
+    /// The default options plus a truncated-storage variant that exercises
+    /// the beyond-stored-levels fallback.
     fn knob_combos() -> Vec<ProfileOptions> {
-        let mut out = Vec::new();
-        for pruning in [ArcPruning::Exhaustive, ArcPruning::TimeIndexed] {
-            for storage in [LevelStorage::FullClones, LevelStorage::Deltas] {
-                out.push(
-                    ProfileOptions::builder()
-                        .arc_pruning(pruning)
-                        .level_storage(storage)
-                        .build(),
-                );
-            }
-        }
-        out
+        vec![
+            ProfileOptions::default(),
+            ProfileOptions::builder().store_levels(2).build(),
+        ]
     }
 
     #[test]
@@ -1946,13 +1751,9 @@ mod tests {
         let custom = ProfileOptions::builder()
             .store_levels(3)
             .max_levels(7)
-            .arc_pruning(ArcPruning::Exhaustive)
-            .level_storage(LevelStorage::FullClones)
             .build();
         assert_eq!(custom.store_levels, 3);
         assert_eq!(custom.max_levels, 7);
-        assert_eq!(custom.arc_pruning, ArcPruning::Exhaustive);
-        assert_eq!(custom.level_storage, LevelStorage::FullClones);
     }
 
     #[test]
@@ -2258,39 +2059,6 @@ mod tests {
     }
 
     #[test]
-    fn delta_levels_match_full_clone_levels() {
-        let t = TraceBuilder::new()
-            .contact_secs(0, 1, 0.0, 10.0)
-            .contact_secs(1, 2, 5.0, 15.0)
-            .contact_secs(0, 2, 12.0, 20.0)
-            .contact_secs(2, 3, 14.0, 40.0)
-            .contact_secs(0, 1, 100.0, 110.0)
-            .contact_secs(1, 3, 105.0, 130.0)
-            .build();
-        let arcs = Arcs::of(&t);
-        let full = ProfileOptions::builder()
-            .level_storage(LevelStorage::FullClones)
-            .build();
-        let delta = ProfileOptions::builder()
-            .level_storage(LevelStorage::Deltas)
-            .build();
-        for s in 0..4u32 {
-            let a = SourceProfiles::compute(&t, &arcs, NodeId(s), full);
-            let b = SourceProfiles::compute(&t, &arcs, NodeId(s), delta);
-            assert_eq!(a.stored_levels(), b.stored_levels());
-            for d in 0..4u32 {
-                for k in 0..=a.stored_levels() + 2 {
-                    assert_eq!(
-                        a.profile(NodeId(d), HopBound::AtMost(k)).pairs(),
-                        b.profile(NodeId(d), HopBound::AtMost(k)).pairs(),
-                        "{s}->{d} at k={k}"
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
     fn scratch_reuse_across_sources_is_clean() {
         // Reusing one scratch across different sources and traces must not
         // leak state between computations.
@@ -2321,23 +2089,6 @@ mod tests {
             pooled.profile(NodeId(1), HopBound::Unlimited).pairs(),
             fresh.profile(NodeId(1), HopBound::Unlimited).pairs()
         );
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_compute_with_forwards() {
-        let t = line_trace();
-        let arcs = Arcs::of(&t);
-        let mut scratch = ProfileScratch::new();
-        let opts = ProfileOptions::default();
-        let old = SourceProfiles::compute_with(&t, &arcs, NodeId(0), opts, &mut scratch);
-        let new = SourceProfiles::compute(&t, &arcs, NodeId(0), opts);
-        for d in 0..4u32 {
-            assert_eq!(
-                old.profile(NodeId(d), HopBound::Unlimited).pairs(),
-                new.profile(NodeId(d), HopBound::Unlimited).pairs()
-            );
-        }
     }
 
     #[test]
@@ -2386,39 +2137,32 @@ mod tests {
             .contact_secs(1, 3, 105.0, 130.0)
             .build();
         let arcs = Arcs::of(&t);
-        // Include a low store_levels so the tail is exercised.
+        // Include lower store_levels so the tail is exercised.
         let mut combos = knob_combos();
         combos.push(ProfileOptions::builder().store_levels(1).build());
-        combos.push(
-            ProfileOptions::builder()
-                .store_levels(0)
-                .level_storage(LevelStorage::FullClones)
-                .build(),
-        );
+        combos.push(ProfileOptions::builder().store_levels(0).build());
         for opts in combos {
             for s in 0..4u32 {
                 let orig = SourceProfiles::compute(&t, &arcs, NodeId(s), opts);
-                for rebuilt_as in [LevelStorage::Deltas, LevelStorage::FullClones] {
-                    let back = SourceProfiles::from_parts(orig.to_parts(), rebuilt_as)
-                        .expect("own parts are valid");
-                    assert_eq!(back.source(), orig.source());
-                    assert_eq!(back.converged_at(), orig.converged_at());
-                    assert_eq!(back.converged(), orig.converged());
-                    assert_eq!(back.stored_levels(), orig.stored_levels());
-                    assert_eq!(back.num_nodes(), orig.num_nodes());
-                    for d in 0..4u32 {
-                        for k in 0..=orig.stored_levels() + 2 {
-                            assert_eq!(
-                                back.profile(NodeId(d), HopBound::AtMost(k)).pairs(),
-                                orig.profile(NodeId(d), HopBound::AtMost(k)).pairs(),
-                                "{s}->{d} at k={k} with {opts:?} rebuilt as {rebuilt_as:?}"
-                            );
-                        }
+                let back =
+                    SourceProfiles::from_parts(orig.to_parts()).expect("own parts are valid");
+                assert_eq!(back.source(), orig.source());
+                assert_eq!(back.converged_at(), orig.converged_at());
+                assert_eq!(back.converged(), orig.converged());
+                assert_eq!(back.stored_levels(), orig.stored_levels());
+                assert_eq!(back.num_nodes(), orig.num_nodes());
+                for d in 0..4u32 {
+                    for k in 0..=orig.stored_levels() + 2 {
                         assert_eq!(
-                            back.profile(NodeId(d), HopBound::Unlimited).pairs(),
-                            orig.profile(NodeId(d), HopBound::Unlimited).pairs()
+                            back.profile(NodeId(d), HopBound::AtMost(k)).pairs(),
+                            orig.profile(NodeId(d), HopBound::AtMost(k)).pairs(),
+                            "{s}->{d} at k={k} with {opts:?}"
                         );
                     }
+                    assert_eq!(
+                        back.profile(NodeId(d), HopBound::Unlimited).pairs(),
+                        orig.profile(NodeId(d), HopBound::Unlimited).pairs()
+                    );
                 }
             }
         }
@@ -2433,7 +2177,7 @@ mod tests {
         let mut bad = good.to_parts();
         bad.source = NodeId(99);
         assert!(matches!(
-            SourceProfiles::from_parts(bad, LevelStorage::Deltas),
+            SourceProfiles::from_parts(bad),
             Err(ProfilePartsError::NodeOutOfRange { node: 99, .. })
         ));
 
@@ -2447,7 +2191,7 @@ mod tests {
             }
         }
         assert!(matches!(
-            SourceProfiles::from_parts(bad, LevelStorage::Deltas),
+            SourceProfiles::from_parts(bad),
             Err(ProfilePartsError::UnsortedDestinations { level: Some(1) })
         ));
 
@@ -2459,7 +2203,7 @@ mod tests {
             *pairs = v.into_boxed_slice();
         }
         assert!(matches!(
-            SourceProfiles::from_parts(bad, LevelStorage::Deltas),
+            SourceProfiles::from_parts(bad),
             Err(ProfilePartsError::InvalidFrontier { level: Some(1), .. })
         ));
     }
@@ -2493,8 +2237,7 @@ mod tests {
         let arcs = Arcs::of(&t);
         for opts in knob_combos() {
             let row = SourceProfiles::compute(&t, &arcs, NodeId(7), opts);
-            let back = SourceProfiles::from_parts(row.to_parts(), opts.level_storage)
-                .expect("own parts are valid");
+            let back = SourceProfiles::from_parts(row.to_parts()).expect("own parts are valid");
             for r in [&row, &back] {
                 assert_eq!(r.num_nodes(), 50);
                 assert_eq!(

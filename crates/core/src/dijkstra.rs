@@ -1,5 +1,5 @@
 //! Generalized time-dependent Dijkstra (the paper's comparison point,
-//! refs [1],[7]): single-source earliest-arrival from one fixed start time.
+//! refs \[1\],\[7\]): single-source earliest-arrival from one fixed start time.
 //!
 //! The profile algorithm of [`crate::algorithm`] answers *all* start times
 //! at once; this module answers one `(source, t₀)` query, serves as an

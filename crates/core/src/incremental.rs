@@ -41,9 +41,8 @@
 //! surviving candidate; levels strictly below the minimum such level over
 //! the removed contacts replay byte-identically (their absorbed sets
 //! cannot mention the removed contacts), so the engine reconstructs the
-//! induction state at that level from the row's stored
-//! [`LevelStorage::Deltas`](crate::LevelStorage) runs and re-runs only
-//! the suffix. When the old induction converged inside its stored runs
+//! induction state at that level from the row's stored per-level delta
+//! runs and re-runs only the suffix. When the old induction converged inside its stored runs
 //! the suffix additionally runs in **repair mode**: per level the
 //! induction tracks the *affected set* — destinations whose candidate
 //! gather or frontier can differ from the old run's (diverged frontiers,
@@ -319,7 +318,7 @@ impl IncrementalProfiles {
         let mut repaired_rows = 0usize;
         for (s, mark) in dirty.iter().enumerate() {
             let Some(level) = *mark else { continue };
-            let stored = self.rows[s].delta_runs().map_or(0, <[_]>::len);
+            let stored = self.rows[s].delta_runs().len();
             let from_level = if level as usize <= stored + 1 {
                 level
             } else {
@@ -579,40 +578,36 @@ fn compute_rows(
         let task = &tasks[i];
         let source = NodeId(task.source);
         let mut raw: Vec<(u32, u32)> = Vec::new();
+        // Only suffix tasks read the old row (a fresh engine has none).
         let runs = if task.from_level >= 2 {
-            old_rows[task.source as usize]
-                .delta_runs()
-                .filter(|runs| runs.len() + 1 >= task.from_level as usize)
+            old_rows[task.source as usize].delta_runs()
         } else {
-            None
+            &[]
         };
-        let row = match runs {
-            Some(runs) => {
-                let split = task.from_level as usize - 1;
-                let preseed: Vec<u32> =
-                    task.kept.iter().map(|&(k, _)| cid_of[k as usize]).collect();
-                let seed = SuffixSeed {
-                    prefix: &runs[..split],
-                    preseed: &preseed,
-                    repair: task.repair.then_some(RepairSeed {
-                        old_suffix: &runs[split..],
-                        removed_endpoints,
-                    }),
-                };
-                SourceProfiles::induct_suffix_with_deps(
-                    merged, &arcs, source, opts, scratch, &mut raw, &seed,
-                )
-            }
-            None => {
-                SourceProfiles::induct_with_deps(merged, &arcs, source, opts, scratch, &mut raw)
-            }
+        let suffix = task.from_level >= 2 && runs.len() + 1 >= task.from_level as usize;
+        let row = if suffix {
+            let split = task.from_level as usize - 1;
+            let preseed: Vec<u32> = task.kept.iter().map(|&(k, _)| cid_of[k as usize]).collect();
+            let seed = SuffixSeed {
+                prefix: &runs[..split],
+                preseed: &preseed,
+                repair: task.repair.then_some(RepairSeed {
+                    old_suffix: &runs[split..],
+                    removed_endpoints,
+                }),
+            };
+            SourceProfiles::induct_suffix_with_deps(
+                merged, &arcs, source, opts, scratch, &mut raw, &seed,
+            )
+        } else {
+            SourceProfiles::induct_with_deps(merged, &arcs, source, opts, scratch, &mut raw)
         };
         let mut fresh: Vec<(u32, u32)> = raw
             .iter()
             .map(|&(cid, level)| (keys[cid as usize].0, level))
             .collect();
         fresh.sort_unstable();
-        let dep = if runs.is_some() {
+        let dep = if suffix {
             merge_by_key(&task.kept, &merge_min_level(&task.carried, &fresh))
         } else {
             fresh

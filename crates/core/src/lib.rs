@@ -33,7 +33,7 @@
 //! * [`incremental`] — delta-driven maintenance of the all-pairs profiles
 //!   (append/remove contacts without a cold restart);
 //! * [`dijkstra`] — single-query earliest-arrival baseline and path
-//!   witnesses (refs [1],[7]);
+//!   witnesses (refs \[1\],\[7\]);
 //! * [`witness`] — concrete path witnesses for optimal frontier pairs;
 //! * [`bruteforce`] — exponential enumeration oracle for tests;
 //! * [`invariants`] — runtime invariant checks (condition 4) and the
@@ -53,9 +53,8 @@ pub mod profile_stats;
 pub mod witness;
 
 pub use algorithm::{
-    AllPairsProfiles, ArcPruning, Arcs, HopBound, LevelStorage, ProfileOptions,
-    ProfileOptionsBuilder, ProfilePartsError, ProfileScratch, ProfileView, SourceProfileParts,
-    SourceProfiles,
+    AllPairsProfiles, Arcs, HopBound, ProfileOptions, ProfileOptionsBuilder, ProfilePartsError,
+    ProfileScratch, ProfileView, SourceProfileParts, SourceProfiles,
 };
 pub use delivery::DeliveryFunction;
 pub use diameter::{day_time_windows, CurveOptions, SuccessCurves};
@@ -83,9 +82,8 @@ pub use witness::{optimal_journeys, route_string, witness_for_pair};
 /// ```
 pub mod prelude {
     pub use crate::algorithm::{
-        AllPairsProfiles, ArcPruning, Arcs, HopBound, LevelStorage, ProfileOptions,
-        ProfileOptionsBuilder, ProfilePartsError, ProfileScratch, ProfileView, SourceProfileParts,
-        SourceProfiles,
+        AllPairsProfiles, Arcs, HopBound, ProfileOptions, ProfileOptionsBuilder, ProfilePartsError,
+        ProfileScratch, ProfileView, SourceProfileParts, SourceProfiles,
     };
     pub use crate::delivery::DeliveryFunction;
     pub use crate::diameter::{day_time_windows, CurveOptions, SuccessCurves};

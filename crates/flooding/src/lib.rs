@@ -5,7 +5,7 @@
 //! definition (§4.1) measures everything against; this crate provides it as
 //! an *independent* event-driven engine (cross-validating `omnet-core`'s
 //! profile algorithm), implements the Zhang-style minimum-delay estimator
-//! the paper cites as related work [18], and ships the direct / two-hop /
+//! the paper cites as related work \[18\], and ships the direct / two-hop /
 //! hop-TTL forwarding schemes whose tuning the small-diameter result
 //! informs.
 

@@ -1,4 +1,4 @@
-//! The flooding-at-every-boundary baseline (paper §4.4, ref [18]).
+//! The flooding-at-every-boundary baseline (paper §4.4, ref \[18\]).
 //!
 //! Zhang et al. estimate the minimum-delay function of a DTN by creating a
 //! packet at every beginning and end of a contact, simulating flooding for

@@ -25,16 +25,17 @@
 //! snapshot then appends one JSON object per line:
 //!
 //! ```json
-//! {"kind":"span","name":"engine.all_pairs","elapsed":0.1813,"at":0.002,"nodes":78}
-//! {"kind":"event","name":"engine.level","elapsed":0.0031,"source":3,"level":2}
-//! {"kind":"counter","name":"executor.items","elapsed":0.91,"value":1024}
+//! {"v":1,"kind":"span","name":"engine.all_pairs","elapsed":0.1813,"at":0.002,"nodes":78}
+//! {"v":1,"kind":"event","name":"engine.level","elapsed":0.0031,"source":3,"level":2}
+//! {"v":1,"kind":"counter","name":"executor.items","elapsed":0.91,"value":1024}
 //! ```
 //!
-//! Every record carries `kind`, `name` and `elapsed`. For spans `elapsed`
+//! Every record opens with `v`, the schema version (currently 1), and
+//! carries `kind`, `name` and `elapsed`. For spans `elapsed`
 //! is the span duration in seconds (and `at` is the span start, as an
 //! offset from the sink epoch); for events and counter snapshots it is
 //! the emission time as an offset from the sink epoch. Span and event
-//! fields never reuse `kind`, `name`, `elapsed` or `at`: a duplicate key
+//! fields never reuse `v`, `kind`, `name`, `elapsed` or `at`: a duplicate key
 //! would shadow the record's own, so debug builds assert against it.
 //!
 //! # Overhead contract
@@ -223,9 +224,9 @@ mod tests {
         let text = buf.contents();
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(lines.len(), 2);
-        assert!(lines[0].starts_with("{\"kind\":\"event\",\"name\":\"alpha\",\"elapsed\":"));
+        assert!(lines[0].starts_with("{\"v\":1,\"kind\":\"event\",\"name\":\"alpha\",\"elapsed\":"));
         assert!(lines[0].ends_with("\"x\":3}"));
-        assert!(lines[1].starts_with("{\"kind\":\"span\",\"name\":\"beta\",\"elapsed\":"));
+        assert!(lines[1].starts_with("{\"v\":1,\"kind\":\"span\",\"name\":\"beta\",\"elapsed\":"));
         assert!(lines[1].contains("\"label\":\"hi\\\"there\\\\\""));
     }
 

@@ -9,9 +9,13 @@ use crate::json::{push_str, push_value, Value};
 use crate::{emit_line, enabled, offset_secs};
 use std::time::Instant;
 
+/// The opening of every record: the schema version `"v"` (bump it when a
+/// record's required keys or their meaning change), then the `kind` key.
+const RECORD_HEAD: &str = "{\"v\":1,\"kind\":";
+
 /// Keys every record writes ahead of its fields. A field under one of them
 /// would be a duplicate key, which JSON parsers resolve to the last value.
-const RESERVED_KEYS: [&str; 4] = ["kind", "name", "elapsed", "at"];
+const RESERVED_KEYS: [&str; 5] = ["v", "kind", "name", "elapsed", "at"];
 
 /// Debug-build check that a span or event field does not reuse a
 /// reserved record key.
@@ -22,7 +26,7 @@ fn debug_assert_field_key(key: &str) {
     );
 }
 
-/// Serializes and writes one record line with the required `kind`,
+/// Serializes and writes one record line with the required `v`, `kind`,
 /// `name`, `elapsed` prefix followed by `extra` fields.
 fn emit_record(
     kind: &str,
@@ -32,7 +36,7 @@ fn emit_record(
     fields: &[(&'static str, Value)],
 ) {
     let mut line = String::with_capacity(96);
-    line.push_str("{\"kind\":");
+    line.push_str(RECORD_HEAD);
     push_str(&mut line, kind);
     line.push_str(",\"name\":");
     push_str(&mut line, name);

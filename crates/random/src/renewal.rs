@@ -2,7 +2,7 @@
 //!
 //! The paper's random models assume Bernoulli/Poisson contacts, hence
 //! light-tailed inter-contact times — an assumption prior measurements
-//! ([2],[9]) show holds only at day/week timescales. §3.4 argues the results
+//! (\[2\],\[9\]) show holds only at day/week timescales. §3.4 argues the results
 //! extend to renewal processes with finite-variance inter-contact times and
 //! *conjectures the heavy tail inflates delay but barely moves the hop
 //! count of delay-optimal paths*. This module provides the machinery to test
@@ -24,7 +24,7 @@ pub enum InterContactLaw {
         /// Tail index.
         alpha: f64,
     },
-    /// Deterministic gaps (periodic meetings, e.g. bus schedules [18]).
+    /// Deterministic gaps (periodic meetings, e.g. bus schedules \[18\]).
     Deterministic,
 }
 

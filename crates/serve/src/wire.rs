@@ -19,7 +19,7 @@ use crate::engine::DeltaApplied;
 use crate::query::{
     DeliveryAnswer, DiameterAnswer, PathAnswer, PathHop, QueryError, QueryResponse, StatsAnswer,
 };
-use omnet_core::{ArcPruning, HopBound, LevelStorage, ProfileOptions};
+use omnet_core::{HopBound, ProfileOptions};
 use omnet_temporal::{Contact, ContactKey, Dur, Interval, NodeId, Time};
 use std::fmt;
 use std::fmt::Write as _;
@@ -766,39 +766,13 @@ fn options_json(o: &ProfileOptions) -> Json {
     Json::Obj(vec![
         ("store_levels".into(), Json::usize(o.store_levels)),
         ("max_levels".into(), Json::usize(o.max_levels)),
-        (
-            "arc_pruning".into(),
-            Json::str(match o.arc_pruning {
-                ArcPruning::Exhaustive => "exhaustive",
-                _ => "time_indexed",
-            }),
-        ),
-        (
-            "level_storage".into(),
-            Json::str(match o.level_storage {
-                LevelStorage::FullClones => "full_clones",
-                _ => "deltas",
-            }),
-        ),
     ])
 }
 
 fn decode_options(j: &Json) -> Result<ProfileOptions, WireError> {
-    let arc_pruning = match get_str(j, "arc_pruning")?.as_str() {
-        "exhaustive" => ArcPruning::Exhaustive,
-        "time_indexed" => ArcPruning::TimeIndexed,
-        _ => return Err(malformed("arc_pruning")),
-    };
-    let level_storage = match get_str(j, "level_storage")?.as_str() {
-        "full_clones" => LevelStorage::FullClones,
-        "deltas" => LevelStorage::Deltas,
-        _ => return Err(malformed("level_storage")),
-    };
     Ok(ProfileOptions::builder()
         .store_levels(get_usize(j, "store_levels")?)
         .max_levels(get_usize(j, "max_levels")?)
-        .arc_pruning(arc_pruning)
-        .level_storage(level_storage)
         .build())
 }
 
@@ -1367,8 +1341,7 @@ mod tests {
                 window: Interval::secs(0.0, 920.0),
                 options: ProfileOptions::builder()
                     .store_levels(3)
-                    .arc_pruning(ArcPruning::Exhaustive)
-                    .level_storage(LevelStorage::FullClones)
+                    .max_levels(7)
                     .build(),
                 shards: 2,
                 rows: 5,

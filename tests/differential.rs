@@ -13,8 +13,8 @@
 //! `strict-invariants` job.
 
 use omnet_core::{
-    cross_check, AllPairsProfiles, ArcPruning, Arcs, ContactDelta, CrossCheckOptions, HopBound,
-    IncrementalProfiles, LevelStorage, ProfileOptions, SourceProfiles,
+    cross_check, AllPairsProfiles, Arcs, ContactDelta, CrossCheckOptions, HopBound,
+    IncrementalProfiles, ProfileOptions, SourceProfiles,
 };
 use omnet_temporal::invariant::{self, InvariantViolation};
 use omnet_temporal::{Contact, ContactSeq, NodeId, Time, Trace, TraceBuilder};
@@ -222,37 +222,22 @@ fn contactless_trace_strategy() -> impl Strategy<Value = Trace> {
         })
 }
 
-/// Every `ProfileOptions` knob combination, plus a truncated-storage variant
-/// that exercises the beyond-stored-levels fallback.
+/// The default `ProfileOptions`, plus a truncated-storage variant that
+/// exercises the beyond-stored-levels fallback.
 fn knob_combos() -> Vec<ProfileOptions> {
-    let mut combos = Vec::new();
-    for pruning in [ArcPruning::Exhaustive, ArcPruning::TimeIndexed] {
-        for storage in [LevelStorage::FullClones, LevelStorage::Deltas] {
-            combos.push(
-                ProfileOptions::builder()
-                    .arc_pruning(pruning)
-                    .level_storage(storage)
-                    .build(),
-            );
-            combos.push(
-                ProfileOptions::builder()
-                    .store_levels(2)
-                    .arc_pruning(pruning)
-                    .level_storage(storage)
-                    .build(),
-            );
-        }
-    }
-    combos
+    vec![
+        ProfileOptions::default(),
+        ProfileOptions::builder().store_levels(2).build(),
+    ]
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// The optimized induction (delta propagation + arc pruning + pooled
-    /// buffers + either level-storage shape) is pair-for-pair identical to
-    /// the naive full-re-extension specification, for every knob
-    /// combination, every source, and every hop bound.
+    /// buffers + delta level storage) is pair-for-pair identical to the
+    /// naive full-re-extension specification, for full and truncated level
+    /// storage, every source, and every hop bound.
     #[test]
     fn optimized_engine_matches_naive_spec_on_all_knobs(trace in trace_strategy()) {
         let arcs = Arcs::of(&trace);
@@ -291,43 +276,6 @@ proptest! {
                         d,
                         opts
                     );
-                }
-            }
-        }
-    }
-
-    /// Delta-reconstructed level queries equal the old full-clone snapshots
-    /// on every stored (and every fallback) hop class.
-    #[test]
-    fn delta_reconstruction_matches_full_clone_snapshots(trace in trace_strategy()) {
-        let arcs = Arcs::of(&trace);
-        for pruning in [ArcPruning::Exhaustive, ArcPruning::TimeIndexed] {
-            let full_opts = ProfileOptions::builder()
-                .arc_pruning(pruning)
-                .level_storage(LevelStorage::FullClones)
-                .build();
-            let delta_opts = ProfileOptions::builder()
-                .arc_pruning(pruning)
-                .level_storage(LevelStorage::Deltas)
-                .build();
-            for s in trace.nodes() {
-                let full = SourceProfiles::compute(&trace, &arcs, s, full_opts);
-                let delta = SourceProfiles::compute(&trace, &arcs, s, delta_opts);
-                prop_assert_eq!(full.stored_levels(), delta.stored_levels());
-                for d in trace.nodes() {
-                    for k in 0..=full.stored_levels() + 2 {
-                        let f = full.profile(d, HopBound::AtMost(k));
-                        let g = delta.profile(d, HopBound::AtMost(k));
-                        prop_assert_eq!(
-                            f.pairs(),
-                            g.pairs(),
-                            "{}->{} diverged at k={} ({:?})",
-                            s,
-                            d,
-                            k,
-                            pruning
-                        );
-                    }
                 }
             }
         }
@@ -399,7 +347,7 @@ proptest! {
 
     /// The streaming all-pairs walk (`map_range`, frontiers borrowed from
     /// worker scratch and recycled) observes exactly what the materializing
-    /// path returns, for every knob combination: same unbounded frontiers,
+    /// path returns, for every option variant: same unbounded frontiers,
     /// same reached sets, same convergence metadata.
     #[test]
     fn streamed_views_match_materialized_profiles(trace in trace_strategy()) {
@@ -450,8 +398,8 @@ proptest! {
     /// The incremental engine's maintained rows are byte-identical (as
     /// `SourceProfileParts`) to a fresh batch compute of the merged trace
     /// after every step of a random append/remove delta sequence — with
-    /// occasional overlay compactions interleaved — for every
-    /// `ArcPruning × LevelStorage` knob combination.
+    /// occasional overlay compactions interleaved — for full and truncated
+    /// level storage.
     #[test]
     fn incremental_engine_matches_fresh_batch_after_delta_sequences(
         trace in trace_strategy(),
@@ -486,8 +434,8 @@ proptest! {
     /// Sparse rows answer like the dense specification: on traces with
     /// contactless nodes, every destination (unreached ones included) and
     /// every bound gets the spec's function, the universe size survives,
-    /// and the artifact parts survive a `from_parts` round trip into
-    /// either storage — and equal the spec's own parts.
+    /// and the artifact parts survive a `from_parts` round trip — and equal
+    /// the spec's own parts.
     #[test]
     fn sparse_rows_match_dense_spec_with_contactless_nodes(
         trace in contactless_trace_strategy(),
@@ -522,27 +470,16 @@ proptest! {
                 prop_assert_eq!(parts.num_nodes as usize, n);
                 let spec_parts = spec.to_parts();
                 prop_assert_eq!(&spec_parts, &parts, "source {} with {:?}", s, opts);
-                for storage in [LevelStorage::Deltas, LevelStorage::FullClones] {
-                    let back = SourceProfiles::from_parts(parts.clone(), storage)
-                        .expect("own parts are valid");
-                    prop_assert_eq!(back.num_nodes(), n);
-                    let back_parts = back.to_parts();
-                    prop_assert_eq!(
-                        &back_parts,
-                        &parts,
-                        "source {} with {:?} rebuilt as {:?}",
-                        s,
-                        opts,
-                        storage
-                    );
-                }
+                let back = SourceProfiles::from_parts(parts.clone()).expect("own parts are valid");
+                prop_assert_eq!(back.num_nodes(), n);
+                prop_assert_eq!(&back.to_parts(), &parts, "source {} with {:?}", s, opts);
             }
         }
     }
 
     /// `compute_range` over any ordered partition of `0..n` — empty ranges
     /// included (duplicate cut points) — concatenates byte-identically to
-    /// the whole-range `compute`, for every knob combination. This is the
+    /// the whole-range `compute`, for every option variant. This is the
     /// shard-boundary oracle: `omnet precompute` shards are independent
     /// `compute_range` calls.
     #[test]
