@@ -21,7 +21,7 @@
 //! [`set::load_set`]), each covering a contiguous source range, so shards
 //! load, verify, and answer queries independently.
 //!
-//! Two load paths share one decoder:
+//! Two load paths share one validating walk over the ROWS bytes:
 //!
 //! * the **buffered** path ([`load_shard`] / [`load_set`]) reads, verifies,
 //!   and decodes everything eagerly — the right shape for one-shot CLI
@@ -30,7 +30,8 @@
 //!   shard, validates only the header eagerly, and defers the ROWS
 //!   checksum + frontier validation to first access per shard — the
 //!   server's cold-start path, bounded by page faults instead of full
-//!   reads.
+//!   reads. It then answers from the mapped bytes ([`RowRef`]) and
+//!   decodes a row only when asked to.
 
 #![deny(missing_docs)]
 
@@ -42,10 +43,12 @@ pub mod set;
 pub mod shard;
 
 mod error;
+mod rows;
 
 pub use error::ArtifactError;
 pub use format::{ArtifactMeta, ShardRange, FORMAT_VERSION, MAGIC};
 pub use mapped::{map_set, map_shard, MappedSet, MappedShard};
+pub use rows::RowRef;
 pub use set::{load_set, shard_ranges, write_set, ArtifactSet};
 pub use shard::{load_shard, write_shard, ShardArtifact};
 

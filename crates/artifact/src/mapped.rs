@@ -10,22 +10,28 @@
 //! 100-shard set that only ever answers sources from three shards never
 //! faults in — or verifies — the other ninety-seven.
 //!
+//! Validation walks the rows without decoding them and keeps only their
+//! offsets; every later query reads its rows straight from the mapped
+//! bytes ([`RowRef`]), so the set is never held twice, once mapped and
+//! once decoded.
+//!
 //! Laziness never weakens the rejection guarantee: a corrupted shard is
 //! still impossible to read rows from. The verification is merely moved
-//! from load time to first-access time, and its outcome (rows or the
-//! typed [`ArtifactError`]) is cached, so every later access agrees.
+//! from load time to first-access time, and its outcome (the row offsets
+//! or the typed [`ArtifactError`]) is cached, so every later access
+//! agrees.
 
 use crate::codec::fnv1a64;
 use crate::format::{ArtifactMeta, ShardRange, SECTION_ROWS};
 use crate::mmap::Mmap;
-use crate::shard::decode_rows;
+use crate::rows::{RowRef, RowsIndex};
 use crate::ArtifactError;
 use omnet_core::SourceProfiles;
 use std::path::{Path, PathBuf};
 use std::sync::OnceLock;
 
-/// One mapped shard: header verified eagerly, ROWS section verified and
-/// decoded on first [`MappedShard::rows`] call.
+/// One mapped shard: header verified eagerly, ROWS section verified on
+/// first access and then read in place.
 #[derive(Debug)]
 pub struct MappedShard {
     map: Mmap,
@@ -36,9 +42,10 @@ pub struct MappedShard {
     rows_span: (usize, usize),
     /// Stored FNV-1a checksum the body must hash to.
     rows_ck: u64,
-    /// First-access verification outcome; `Err` is cached too, so a
-    /// corrupt shard is rejected identically on every access.
-    rows: OnceLock<Result<Vec<SourceProfiles>, ArtifactError>>,
+    /// First-access verification outcome: the validated row layout, or
+    /// the rejection. `Err` is cached too, so a corrupt shard is rejected
+    /// identically on every access.
+    index: OnceLock<Result<RowsIndex, ArtifactError>>,
 }
 
 impl MappedShard {
@@ -57,39 +64,60 @@ impl MappedShard {
         self.map.is_mapped()
     }
 
-    /// The decoded rows, verifying the ROWS checksum and every frontier
-    /// on the first call. `rows()[i]` is source `range.begin + i`.
-    pub fn rows(&self) -> Result<&[SourceProfiles], ArtifactError> {
-        let outcome = self.rows.get_or_init(|| {
-            let (off, len) = self.rows_span;
-            let body = &self.map.as_slice()[off..off + len];
-            crate::BYTES_READ.add(len as u64);
-            if fnv1a64(body) != self.rows_ck {
-                crate::REJECTS.inc();
-                return Err(ArtifactError::ChecksumMismatch {
+    fn body(&self) -> &[u8] {
+        let (off, len) = self.rows_span;
+        &self.map.as_slice()[off..off + len]
+    }
+
+    /// The row layout, verifying the ROWS checksum and walking every row
+    /// on the first call.
+    fn index(&self) -> Result<&RowsIndex, ArtifactError> {
+        let outcome = self.index.get_or_init(|| {
+            let body = self.body();
+            crate::BYTES_READ.add(body.len() as u64);
+            let verdict = if fnv1a64(body) == self.rows_ck {
+                RowsIndex::build(body, self.meta.num_nodes, &self.range)
+            } else {
+                Err(ArtifactError::ChecksumMismatch {
                     what: "ROWS section",
-                });
+                })
+            };
+            if verdict.is_err() {
+                crate::REJECTS.inc();
             }
-            match decode_rows(body, &self.meta, &self.range) {
-                Ok(rows) => Ok(rows),
-                Err(e) => {
-                    crate::REJECTS.inc();
-                    Err(e)
-                }
-            }
+            verdict
         });
         match outcome {
-            Ok(rows) => Ok(rows),
+            Ok(index) => Ok(index),
             Err(e) => Err(e.clone()),
         }
+    }
+
+    fn rows_of<'a>(&'a self, index: &'a RowsIndex) -> impl ExactSizeIterator<Item = RowRef<'a>> {
+        let body = self.body();
+        let n = self.meta.num_nodes;
+        (0..index.len()).map(move |i| index.row(body, n, i))
+    }
+
+    /// Every row in source order, verifying the shard on the first call.
+    pub fn rows(&self) -> Result<impl ExactSizeIterator<Item = RowRef<'_>>, ArtifactError> {
+        Ok(self.rows_of(self.index()?))
+    }
+
+    /// The row of `source`, verifying the shard on the first call; `None`
+    /// when `source` is outside [`MappedShard::range`].
+    pub fn row(&self, source: u32) -> Result<Option<RowRef<'_>>, ArtifactError> {
+        let index = self.index()?;
+        let i = source.wrapping_sub(self.range.begin) as usize;
+        Ok((i < index.len()).then(|| index.row(self.body(), self.meta.num_nodes, i)))
     }
 
     /// The rows if this shard has already been verified successfully;
     /// `None` when verification has not run yet (or failed). Never
     /// triggers verification — the cheap path for stats.
-    pub fn materialized_rows(&self) -> Option<&[SourceProfiles]> {
-        match self.rows.get() {
-            Some(Ok(rows)) => Some(rows),
+    pub fn verified_rows(&self) -> Option<impl ExactSizeIterator<Item = RowRef<'_>>> {
+        match self.index.get() {
+            Some(Ok(index)) => Some(self.rows_of(index)),
             _ => None,
         }
     }
@@ -149,7 +177,7 @@ fn map_shard_inner(path: &Path) -> Result<MappedShard, ArtifactError> {
         range,
         rows_span: span,
         rows_ck,
-        rows: OnceLock::new(),
+        index: OnceLock::new(),
     })
 }
 
@@ -165,18 +193,22 @@ pub struct MappedSet {
 }
 
 impl MappedSet {
-    /// The profile row for `source`: `Ok(None)` when no mapped shard
-    /// covers it, `Err` when the covering shard fails its (first)
+    /// The row of `source`, read in place: `Ok(None)` when no mapped
+    /// shard covers it, `Err` when the covering shard fails its (first)
     /// verification.
-    pub fn row(&self, source: u32) -> Result<Option<&SourceProfiles>, ArtifactError> {
+    pub fn row_ref(&self, source: u32) -> Result<Option<RowRef<'_>>, ArtifactError> {
         let si = self.shards.partition_point(|s| s.range.end <= source);
-        let Some(s) = self.shards.get(si) else {
-            return Ok(None);
-        };
-        if source < s.range.begin {
-            return Ok(None);
+        match self.shards.get(si) {
+            Some(s) if s.range.begin <= source => s.row(source),
+            _ => Ok(None),
         }
-        Ok(s.rows()?.get((source - s.range.begin) as usize))
+    }
+
+    /// The row of `source` decoded into a [`SourceProfiles`] on demand;
+    /// `None` and `Err` as for [`MappedSet::row_ref`]. Nothing is cached:
+    /// every call decodes again.
+    pub fn row(&self, source: u32) -> Result<Option<SourceProfiles>, ArtifactError> {
+        self.row_ref(source)?.map(|r| r.decode()).transpose()
     }
 
     /// Total rows covered by the mapped shards (from the headers — never
@@ -296,8 +328,8 @@ mod tests {
             let mapped = map_shard(path).unwrap();
             let rows = mapped.rows().unwrap();
             assert_eq!(rows.len(), buffered.rows.len());
-            for (m, b) in rows.iter().zip(&buffered.rows) {
-                assert_eq!(m.to_parts(), b.to_parts());
+            for (m, b) in rows.zip(&buffered.rows) {
+                assert_eq!(m.decode().unwrap().to_parts(), b.to_parts());
             }
         }
         for s in 0..6u32 {
@@ -311,14 +343,14 @@ mod tests {
         let (dir, _, _) = toy_set("lazy", 2);
         let set = map_set(&dir).unwrap();
         for s in set.shards() {
-            assert!(s.materialized_rows().is_none(), "rows decoded eagerly");
+            assert!(s.verified_rows().is_none(), "rows verified eagerly");
         }
-        // Touch one source: only its shard materializes.
-        assert!(set.row(0).unwrap().is_some());
+        // Touch one source: only its shard is verified.
+        assert!(set.row_ref(0).unwrap().is_some());
         let done: usize = set
             .shards()
             .iter()
-            .filter(|s| s.materialized_rows().is_some())
+            .filter(|s| s.verified_rows().is_some())
             .count();
         assert_eq!(done, 1);
         std::fs::remove_dir_all(&dir).ok();

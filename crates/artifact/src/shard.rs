@@ -1,10 +1,13 @@
 //! Writing and loading one shard file.
 
-use crate::codec::{fnv1a64, Reader, Writer};
+use crate::codec::{fnv1a64, Writer};
 use crate::format::{encode_header, parse_header, ArtifactMeta, ShardRange, SECTION_ROWS};
+use crate::rows::RowsIndex;
 use crate::{ArtifactError, BYTES_READ, BYTES_WRITTEN, LOADS, REJECTS, WRITES};
-use omnet_core::{SourceProfileParts, SourceProfiles};
-use omnet_temporal::{LdEa, NodeId, Time};
+use omnet_core::SourceProfiles;
+use omnet_temporal::LdEa;
+use std::fs::File;
+use std::io::Write;
 use std::path::{Path, PathBuf};
 
 /// One loaded, verified shard: its metadata, source range, and
@@ -31,36 +34,6 @@ fn encode_run(w: &mut Writer, run: &[(u32, Box<[LdEa]>)]) {
     }
 }
 
-/// One hop level's additions: `(dest, new frontier pairs)` entries.
-type Run = Vec<(u32, Box<[LdEa]>)>;
-
-fn decode_run(r: &mut Reader<'_>) -> Result<Run, ArtifactError> {
-    let entries = r.u32("run entry count")? as usize;
-    if entries.saturating_mul(8) > r.remaining() {
-        return Err(ArtifactError::Truncated {
-            context: "run entries",
-        });
-    }
-    let mut run = Vec::with_capacity(entries);
-    for _ in 0..entries {
-        let dest = r.u32("run destination")?;
-        let npairs = r.u32("run pair count")? as usize;
-        if npairs.saturating_mul(16) > r.remaining() {
-            return Err(ArtifactError::Truncated {
-                context: "run pairs",
-            });
-        }
-        let mut pairs = Vec::with_capacity(npairs);
-        for _ in 0..npairs {
-            let ld = Time::secs(r.f64_bits("pair ld")?);
-            let ea = Time::secs(r.f64_bits("pair ea")?);
-            pairs.push(LdEa { ld, ea });
-        }
-        run.push((dest, pairs.into_boxed_slice()));
-    }
-    Ok(run)
-}
-
 /// Serializes the ROWS section body for `rows`.
 fn encode_rows(rows: &[SourceProfiles]) -> Vec<u8> {
     let mut w = Writer::new();
@@ -77,67 +50,6 @@ fn encode_rows(rows: &[SourceProfiles]) -> Vec<u8> {
         encode_run(&mut w, &parts.tail);
     }
     w.into_vec()
-}
-
-/// Decodes and validates the ROWS section body, reconstructing each row
-/// through [`SourceProfiles::from_parts`] (which re-checks every frontier).
-/// Shared by the buffered loader here and the lazy mapped loader
-/// ([`crate::mapped`]), so both decode byte-identically.
-pub(crate) fn decode_rows(
-    body: &[u8],
-    meta: &ArtifactMeta,
-    range: &ShardRange,
-) -> Result<Vec<SourceProfiles>, ArtifactError> {
-    let mut r = Reader::new(body);
-    let count = r.u32("row count")?;
-    if count != range.end - range.begin {
-        return Err(ArtifactError::Corrupt {
-            context: "row count does not match shard range",
-        });
-    }
-    let mut rows = Vec::with_capacity(count as usize);
-    for i in 0..count {
-        let source = r.u32("row source")?;
-        if source != range.begin + i {
-            return Err(ArtifactError::Corrupt {
-                context: "row sources out of order",
-            });
-        }
-        let converged_at = r.u32("row converged_at")?;
-        let converged = match r.u8("row converged flag")? {
-            0 => false,
-            1 => true,
-            _ => {
-                return Err(ArtifactError::Corrupt {
-                    context: "converged flag is not 0 or 1",
-                })
-            }
-        };
-        let level_count = r.u32("row level count")? as usize;
-        if level_count.saturating_mul(4) > r.remaining() {
-            return Err(ArtifactError::Truncated { context: "levels" });
-        }
-        let mut levels = Vec::with_capacity(level_count);
-        for _ in 0..level_count {
-            levels.push(decode_run(&mut r)?);
-        }
-        let tail = decode_run(&mut r)?;
-        let parts = SourceProfileParts {
-            source: NodeId(source),
-            num_nodes: meta.num_nodes,
-            converged_at,
-            converged,
-            levels,
-            tail,
-        };
-        rows.push(SourceProfiles::from_parts(parts)?);
-    }
-    if r.remaining() != 0 {
-        return Err(ArtifactError::Corrupt {
-            context: "trailing bytes after last row",
-        });
-    }
-    Ok(rows)
 }
 
 /// Writes one shard file covering `range` with the given `rows`; returns
@@ -163,14 +75,19 @@ pub fn write_shard(
     }
     let body = encode_rows(rows);
     let sections = [(SECTION_ROWS, body.len() as u64, fnv1a64(&body))];
-    let mut file = encode_header(meta, &range, &sections)?;
-    file.extend_from_slice(&body);
-    let total = file.len() as u64;
-    std::fs::write(path, &file).map_err(|source| ArtifactError::Io {
-        context: "cannot write artifact shard",
-        path: PathBuf::from(path),
-        source,
-    })?;
+    let header = encode_header(meta, &range, &sections)?;
+    let total = (header.len() + body.len()) as u64;
+    // Header, then body, through one file: no joined copy of the two.
+    File::create(path)
+        .and_then(|mut file| {
+            file.write_all(&header)?;
+            file.write_all(&body)
+        })
+        .map_err(|source| ArtifactError::Io {
+            context: "cannot write artifact shard",
+            path: PathBuf::from(path),
+            source,
+        })?;
     WRITES.inc();
     BYTES_WRITTEN.add(total);
     Ok(total)
@@ -230,7 +147,11 @@ fn load_shard_inner(path: &Path) -> Result<ShardArtifact, ArtifactError> {
                 what: "ROWS section",
             });
         }
-        rows = Some(decode_rows(body, &meta, &range)?);
+        let index = RowsIndex::build(body, meta.num_nodes, &range)?;
+        let decoded: Result<Vec<_>, _> = (0..index.len())
+            .map(|i| index.row(body, meta.num_nodes, i).decode())
+            .collect();
+        rows = Some(decoded?);
     }
     let rows = rows.ok_or(ArtifactError::Corrupt {
         context: "no ROWS section",
@@ -242,7 +163,7 @@ fn load_shard_inner(path: &Path) -> Result<ShardArtifact, ArtifactError> {
 mod tests {
     use super::*;
     use omnet_core::{AllPairsProfiles, HopBound, ProfileOptions};
-    use omnet_temporal::TraceBuilder;
+    use omnet_temporal::{NodeId, TraceBuilder};
 
     fn toy() -> (omnet_temporal::Trace, ArtifactMeta) {
         let t = TraceBuilder::new()

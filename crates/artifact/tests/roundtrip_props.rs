@@ -162,8 +162,8 @@ proptest! {
         let buffered = load_shard(&paths[0]);
         // Compose the mapped path's two stages (eager header + lazy rows)
         // into one verdict.
-        let mapped: Result<Vec<_>, ArtifactError> =
-            map_shard(&paths[0]).and_then(|s| s.rows().map(<[_]>::to_vec));
+        let mapped: Result<Vec<_>, ArtifactError> = map_shard(&paths[0])
+            .and_then(|s| s.rows().and_then(|rows| rows.map(|r| r.decode()).collect()));
         match (buffered, mapped) {
             (Ok(b), Ok(m)) => {
                 prop_assert_eq!(b.rows.len(), m.len());

@@ -65,8 +65,14 @@ pub fn curves_from_rows(
     grid: Vec<Dur>,
 ) -> SuccessCurves {
     let opts = CurveOptions::standard(max_hops, grid);
-    let refs: Vec<&omnet_core::SourceProfiles> = rows.iter().collect();
-    SuccessCurves::from_profiles(&refs, &opts, &[trace.span()], trace.num_internal())
+    SuccessCurves::from_profiles(
+        trace.num_nodes(),
+        trace.num_internal(),
+        |s| Ok::<_, std::convert::Infallible>(&rows[s.index()]),
+        &opts,
+        &[trace.span()],
+    )
+    .unwrap_or_else(|e| match e {})
 }
 
 /// Renders selected hop-class curves (plus flooding) as a series table.

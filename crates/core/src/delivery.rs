@@ -83,7 +83,13 @@ impl DeliveryFunction {
     /// `t` — the summary an optimal path for a message created at `t`
     /// follows — or `None` when no path remains.
     pub fn pair_at(&self, t: Time) -> Option<LdEa> {
-        self.pairs.iter().find(|p| p.ld >= t).copied()
+        self.pairs.get(self.first_at(t)).copied()
+    }
+
+    /// Index of the first pair with `ld >= t` (`len()` when none): pairs
+    /// strictly ascend in `ld`.
+    fn first_at(&self, t: Time) -> usize {
+        self.pairs.partition_point(|p| p.ld < t)
     }
 
     /// Number of optimal paths represented (the paper's measure of how many
@@ -101,8 +107,8 @@ impl DeliveryFunction {
     pub fn delivery(&self, t: Time) -> Time {
         // First pair with ld >= t: since `ea` increases with `ld`, it is the
         // best available one.
-        match self.pairs.iter().position(|p| p.ld >= t) {
-            Some(i) => t.max(self.pairs[i].ea),
+        match self.pairs.get(self.first_at(t)) {
+            Some(p) => t.max(p.ea),
             None => Time::INF,
         }
     }

@@ -11,6 +11,7 @@
 
 use crate::algorithm::{Arcs, HopBound, ProfileOptions, SourceProfiles};
 use omnet_temporal::{Dur, Interval, NodeId, Time, Trace};
+use std::borrow::Borrow;
 
 /// What to aggregate and how when building the §4.1 success curves.
 #[derive(Debug, Clone)]
@@ -116,45 +117,46 @@ impl SuccessCurves {
     /// artifact-backed query path, which must never re-run the §4.4
     /// induction (`opts.profiles` is therefore ignored).
     ///
-    /// `rows` must hold the rows for sources `0..node_limit` in ascending
-    /// order, where `node_limit` is `num_internal` under
-    /// `opts.internal_pairs_only` and the rows' full universe otherwise;
-    /// destinations range over the same `0..node_limit`. Produces exactly
-    /// what [`SuccessCurves::compute_windowed`] would for the trace the
-    /// rows came from.
+    /// `row(s)` yields the row of source `s` for every `s` in
+    /// `0..node_limit`, where `node_limit` is `num_internal` under
+    /// `opts.internal_pairs_only` and `num_nodes` otherwise; destinations
+    /// range over the same `0..node_limit`. Rows are asked for one source
+    /// at a time on the worker that folds them, and dropped once folded,
+    /// so a row source that decodes on demand never holds more than one
+    /// row per worker. The first error in source order is returned.
+    /// Otherwise the result is exactly what
+    /// [`SuccessCurves::compute_windowed`] gives for the trace the rows
+    /// came from.
     ///
     /// # Panics
-    /// If `rows` does not cover `0..node_limit` in ascending source order.
-    pub fn from_profiles(
-        rows: &[&SourceProfiles],
+    /// If `row(s)` yields the row of another source.
+    pub fn from_profiles<R, E, F>(
+        num_nodes: u32,
+        num_internal: u32,
+        row: F,
         opts: &CurveOptions,
         windows: &[Interval],
-        num_internal: u32,
-    ) -> SuccessCurves {
+    ) -> Result<SuccessCurves, E>
+    where
+        R: Borrow<SourceProfiles>,
+        E: Send,
+        F: Fn(NodeId) -> Result<R, E> + Sync,
+    {
         let weights = validated_weights(opts, windows);
-        let num_nodes = rows.first().map_or(0, |r| r.num_nodes() as u32);
         let node_limit = if opts.internal_pairs_only {
             num_internal.min(num_nodes)
         } else {
             num_nodes
         };
-        assert!(
-            rows.len() as u32 >= node_limit,
-            "need rows for sources 0..{node_limit}, have {}",
-            rows.len()
-        );
-        for (i, r) in rows[..node_limit as usize].iter().enumerate() {
-            assert_eq!(
-                r.source().0,
-                i as u32,
-                "rows must be sources 0..{node_limit} in ascending order"
-            );
-        }
         let nodes: Vec<NodeId> = (0..node_limit).map(NodeId).collect();
         let partials = omnet_analysis::par_map(nodes.len(), |si| {
-            source_partial(rows[si], &nodes, opts, windows, &weights)
+            let r = row(nodes[si])?;
+            let prof = r.borrow();
+            assert_eq!(prof.source(), nodes[si], "row yielded for the wrong source");
+            Ok(source_partial(prof, &nodes, opts, windows, &weights))
         });
-        SuccessCurves::reduce(opts, partials, nodes.len())
+        let partials = partials.into_iter().collect::<Result<Vec<_>, E>>()?;
+        Ok(SuccessCurves::reduce(opts, partials, nodes.len()))
     }
 
     /// Sums per-source partials and normalizes by the ordered-pair count.
@@ -323,6 +325,7 @@ fn source_partial(
 mod tests {
     use super::*;
     use omnet_temporal::TraceBuilder;
+    use std::convert::Infallible;
 
     /// A star: node 0 meets 1..=3 in overlapping windows, so most pairs need
     /// 2 hops; flooding gains nothing beyond 2.
@@ -521,8 +524,14 @@ mod tests {
         let direct = SuccessCurves::compute(&t, &o);
         let rows =
             crate::algorithm::AllPairsProfiles::compute_range(&t, o.profiles, 0..t.num_nodes());
-        let refs: Vec<&SourceProfiles> = rows.iter().collect();
-        let loaded = SuccessCurves::from_profiles(&refs, &o, &[t.span()], t.num_internal());
+        let loaded = SuccessCurves::from_profiles(
+            t.num_nodes(),
+            t.num_internal(),
+            |s| Ok::<_, Infallible>(&rows[s.index()]),
+            &o,
+            &[t.span()],
+        )
+        .unwrap_or_else(|e| match e {});
         assert_eq!(loaded.pairs(), direct.pairs());
         for &b in direct.bounds() {
             // Same accumulation order on both paths — results are bitwise

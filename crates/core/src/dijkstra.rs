@@ -75,6 +75,31 @@ impl ArrivalTree {
 /// (`end >= arrival`), reaching the peer at `max(arrival, contact.start)`.
 /// The FIFO property of interval contacts makes label-setting exact.
 pub fn earliest_arrival(trace: &Trace, source: NodeId, start: Time) -> ArrivalTree {
+    label_setting(trace, source, start, None)
+}
+
+/// [`earliest_arrival`] that stops as soon as `target` settles (§4.1's
+/// single-pair question).
+///
+/// Nodes settle in the same order as in the full run, so `target`'s
+/// arrival, hop count and [`ArrivalTree::path_to`] witness are identical
+/// to the full run's. Arrivals of nodes not yet settled are only upper
+/// bounds.
+pub fn earliest_arrival_to(
+    trace: &Trace,
+    source: NodeId,
+    start: Time,
+    target: NodeId,
+) -> ArrivalTree {
+    label_setting(trace, source, start, Some(target))
+}
+
+fn label_setting(
+    trace: &Trace,
+    source: NodeId,
+    start: Time,
+    target: Option<NodeId>,
+) -> ArrivalTree {
     let n = trace.num_nodes() as usize;
     assert!(source.index() < n, "source outside the node universe");
     let adj = trace.adjacency();
@@ -92,6 +117,9 @@ pub fn earliest_arrival(trace: &Trace, source: NodeId, start: Time) -> ArrivalTr
             continue;
         }
         settled[ui] = true;
+        if target == Some(NodeId(u)) {
+            break;
+        }
         for &cid in adj.incident(NodeId(u)) {
             let c = trace.contact(cid);
             if c.end() < at {
@@ -226,6 +254,33 @@ mod tests {
         let tree = earliest_arrival(&t, NodeId(0), Time::ZERO);
         assert!(tree.path_to(&t, NodeId(2)).is_none());
         assert_eq!(tree.arrival(NodeId(2)), Time::INF);
+    }
+
+    #[test]
+    fn stopping_at_the_target_keeps_its_answer_and_witness() {
+        let t = TraceBuilder::new()
+            .contact_secs(0, 1, 0.0, 5.0)
+            .contact_secs(1, 2, 100.0, 110.0)
+            .contact_secs(0, 2, 200.0, 210.0)
+            .contact_secs(2, 3, 105.0, 130.0)
+            .contact_secs(1, 3, 300.0, 320.0)
+            .contact_secs(3, 4, 120.0, 125.0)
+            .contact_secs(0, 4, 50.0, 60.0)
+            .build();
+        for start in [0.0, 3.0, 55.0, 150.0, 400.0] {
+            let start = Time::secs(start);
+            for s in t.nodes() {
+                let full = earliest_arrival(&t, s, start);
+                for d in t.nodes() {
+                    let early = earliest_arrival_to(&t, s, start, d);
+                    assert_eq!(early.arrival(d), full.arrival(d), "{s:?}->{d:?}");
+                    assert_eq!(early.hops(d), full.hops(d), "{s:?}->{d:?}");
+                    let route =
+                        |tree: &ArrivalTree| tree.path_to(&t, d).map(|p| p.contacts().to_vec());
+                    assert_eq!(route(&early), route(&full), "{s:?}->{d:?}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -58,7 +58,7 @@ pub use algorithm::{
 };
 pub use delivery::DeliveryFunction;
 pub use diameter::{day_time_windows, CurveOptions, SuccessCurves};
-pub use dijkstra::{earliest_arrival, earliest_arrival_bounded, ArrivalTree};
+pub use dijkstra::{earliest_arrival, earliest_arrival_bounded, earliest_arrival_to, ArrivalTree};
 pub use incremental::{ContactDelta, DeltaStats, IncrementalProfiles};
 pub use invariants::{cross_check, CrossCheckOptions, Divergence};
 pub use profile_stats::{reachability_by_hops, ProfileStats};
@@ -87,7 +87,9 @@ pub mod prelude {
     };
     pub use crate::delivery::DeliveryFunction;
     pub use crate::diameter::{day_time_windows, CurveOptions, SuccessCurves};
-    pub use crate::dijkstra::{earliest_arrival, earliest_arrival_bounded, ArrivalTree};
+    pub use crate::dijkstra::{
+        earliest_arrival, earliest_arrival_bounded, earliest_arrival_to, ArrivalTree,
+    };
     pub use crate::incremental::{ContactDelta, DeltaStats, IncrementalProfiles};
     pub use crate::profile_stats::{reachability_by_hops, ProfileStats};
     pub use crate::witness::{optimal_journeys, route_string, witness_for_pair};

@@ -4,10 +4,11 @@ use crate::query::{
     DeliveryAnswer, DiameterAnswer, PathAnswer, PathHop, Query, QueryError, QueryResponse,
     StatsAnswer,
 };
-use omnet_artifact::{map_set, ArtifactError, ArtifactMeta, MappedSet};
+use omnet_artifact::{map_set, ArtifactError, ArtifactMeta, MappedSet, RowRef};
 use omnet_core::incremental::{record_external_delta, row_may_use, ContactDelta};
 use omnet_core::{
-    earliest_arrival, Arcs, CurveOptions, HopBound, ProfileOptions, SourceProfiles, SuccessCurves,
+    earliest_arrival_to, Arcs, CurveOptions, HopBound, ProfileOptions, SourceProfiles,
+    SuccessCurves,
 };
 use omnet_temporal::{Contact, ContactId, Dur, Interval, NodeId, Time, Trace, TraceOverlay};
 use std::collections::HashMap;
@@ -17,8 +18,9 @@ use std::sync::{Arc, Mutex};
 /// Where answers come from.
 enum Backend {
     /// A persisted artifact set, memory-mapped: headers verified at load
-    /// time, each shard's rows checksum-verified and decoded on first
-    /// query against it. The §4.4 induction never runs on this path.
+    /// time, each shard's rows checksum-verified and walked on first query
+    /// against it, then answered from the mapped bytes. The §4.4 induction
+    /// never runs on this path.
     Shards(MappedSet),
     /// An in-memory trace; rows are computed on first use per source and
     /// memoized, so interactive one-shot commands stay cheap. The flat CSR
@@ -64,22 +66,6 @@ pub struct DeltaApplied {
     /// Contacts in the rebuilt trace — the new key space is
     /// `0..num_contacts`.
     pub num_contacts: usize,
-}
-
-/// A row handle that is either borrowed from a loaded shard or shared out
-/// of the lazy memo.
-enum Row<'a> {
-    Borrowed(&'a SourceProfiles),
-    Shared(Arc<SourceProfiles>),
-}
-
-impl Row<'_> {
-    fn get(&self) -> &SourceProfiles {
-        match self {
-            Row::Borrowed(r) => r,
-            Row::Shared(r) => r,
-        }
-    }
 }
 
 impl Engine {
@@ -228,39 +214,32 @@ impl Engine {
         Ok(())
     }
 
-    /// The profile row of `source`, from the loaded shards or the lazy
-    /// memo (computing and caching it on first use).
-    fn row(&self, source: u32) -> Result<Row<'_>, QueryError> {
-        match &self.backend {
-            Backend::Shards(set) => match set.row(source) {
-                Ok(Some(row)) => Ok(Row::Borrowed(row)),
-                Ok(None) => Err(QueryError::ShardMissing { source }),
-                Err(e) => Err(QueryError::ShardRejected {
-                    source,
-                    message: e.to_string(),
-                }),
-            },
-            Backend::Lazy { trace, arcs, memo } => {
-                {
-                    let cache = memo.lock().unwrap_or_else(|p| p.into_inner());
-                    if let Some(row) = cache.get(&source) {
-                        return Ok(Row::Shared(Arc::clone(row)));
-                    }
-                }
-                // Computed outside the lock: concurrent batch queries for
-                // distinct sources proceed in parallel (a duplicated
-                // same-source computation is benign — last insert wins
-                // with an identical row).
-                let row = Arc::new(SourceProfiles::compute(
-                    trace,
-                    arcs,
-                    NodeId(source),
-                    self.meta.options,
-                ));
-                let mut cache = memo.lock().unwrap_or_else(|p| p.into_inner());
-                Ok(Row::Shared(Arc::clone(cache.entry(source).or_insert(row))))
+    /// The memoized row of `source` on a trace-backed engine, computed
+    /// and cached on first use.
+    fn lazy_row(
+        &self,
+        trace: &Trace,
+        arcs: &Arcs,
+        memo: &Mutex<HashMap<u32, Arc<SourceProfiles>>>,
+        source: u32,
+    ) -> Arc<SourceProfiles> {
+        {
+            let cache = memo.lock().unwrap_or_else(|p| p.into_inner());
+            if let Some(row) = cache.get(&source) {
+                return Arc::clone(row);
             }
         }
+        // Computed outside the lock: concurrent batch queries for distinct
+        // sources proceed in parallel (a duplicated same-source computation
+        // is benign — last insert wins with an identical row).
+        let row = Arc::new(SourceProfiles::compute(
+            trace,
+            arcs,
+            NodeId(source),
+            self.meta.options,
+        ));
+        let mut cache = memo.lock().unwrap_or_else(|p| p.into_inner());
+        Arc::clone(cache.entry(source).or_insert(row))
     }
 
     fn delivery(
@@ -272,17 +251,26 @@ impl Engine {
     ) -> Result<DeliveryAnswer, QueryError> {
         self.check_node(src)?;
         self.check_node(dst)?;
-        let row = self.row(src)?;
-        let f = row.get().profile(NodeId(dst), bound);
-        let arrival = f.delivery(at);
+        let arrival = match &self.backend {
+            Backend::Shards(set) => shard_row(set, src)?.delivery(NodeId(dst), at, bound),
+            Backend::Lazy { trace, arcs, memo } => {
+                self.lazy_row(trace, arcs, memo, src)
+                    .delivery(NodeId(dst), at, bound)
+            }
+        };
+        let reachable = arrival != Time::INF;
         Ok(DeliveryAnswer {
             src,
             dst,
             at,
             bound,
             arrival,
-            delay: f.delay(at),
-            reachable: arrival != Time::INF,
+            delay: if reachable {
+                arrival.since(at)
+            } else {
+                Dur::INF
+            },
+            reachable,
         })
     }
 
@@ -292,34 +280,11 @@ impl Engine {
         if src == dst {
             return Err(QueryError::SameNode);
         }
-        if let Some(trace) = &self.trace {
-            return Ok(path_from_trace(trace, src, dst, at));
-        }
-        // Artifact-only: arrival and hop class from the row; no concrete
-        // route without the trace.
-        let row = self.row(src)?;
-        let prof = row.get();
-        let arrival = prof.profile(NodeId(dst), HopBound::Unlimited).delivery(at);
-        if arrival == Time::INF {
-            return Ok(unreachable_path(src, dst, at));
-        }
-        let mut hops = prof.converged_at();
-        for k in 1..=prof.stored_levels() {
-            if prof.profile(NodeId(dst), HopBound::AtMost(k)).delivery(at) == arrival {
-                hops = k;
-                break;
-            }
-        }
-        Ok(PathAnswer {
-            src,
-            dst,
-            at,
-            reachable: true,
-            arrival,
-            delay: arrival.since(at),
-            hops,
-            route: None,
-        })
+        let trace = match (&self.backend, &self.trace) {
+            (_, Some(trace)) | (Backend::Lazy { trace, .. }, None) => trace,
+            (Backend::Shards(set), None) => return path_from_row(shard_row(set, src)?, dst, at),
+        };
+        Ok(path_from_trace(trace, src, dst, at))
     }
 
     fn diameter(
@@ -354,36 +319,36 @@ impl Engine {
                 } else {
                     self.meta.num_nodes
                 };
-                let mut rows = Vec::with_capacity(limit as usize);
+                // Coverage and verification of every source first, then
+                // the exactness guard: a hop class beyond what a row stores
+                // is answered by its unlimited profile, which is only exact
+                // once the row converged within its stored levels. Both
+                // read the row offsets only; no row is decoded yet.
+                let mut beyond = None;
                 for s in 0..limit {
-                    match set.row(s) {
-                        Ok(Some(row)) => rows.push(row),
-                        Ok(None) => return Err(QueryError::ShardMissing { source: s }),
-                        Err(e) => {
-                            return Err(QueryError::ShardRejected {
-                                source: s,
-                                message: e.to_string(),
-                            })
-                        }
+                    let r = shard_row(set, s)?;
+                    if beyond.is_none()
+                        && r.stored_levels() < max_hops
+                        && r.converged_at() > r.stored_levels()
+                    {
+                        beyond = Some(r.stored_levels());
                     }
                 }
-                // Exactness guard: a hop class beyond what a row stores is
-                // answered by its unlimited profile, which is only exact
-                // once the row converged within its stored levels.
-                for r in &rows {
-                    if r.stored_levels() < max_hops && r.converged_at() > r.stored_levels() {
-                        return Err(QueryError::HopsBeyondArtifact {
-                            requested: max_hops,
-                            stored: r.stored_levels(),
-                        });
-                    }
+                if let Some(stored) = beyond {
+                    return Err(QueryError::HopsBeyondArtifact {
+                        requested: max_hops,
+                        stored,
+                    });
                 }
+                // Each row is decoded on the worker that folds it and
+                // dropped right after.
                 SuccessCurves::from_profiles(
-                    &rows,
+                    self.meta.num_nodes,
+                    self.meta.num_internal,
+                    |s| shard_row(set, s.0)?.decode().map_err(|e| rejected(s.0, &e)),
                     &opts,
                     &[self.meta.window],
-                    self.meta.num_internal,
-                )
+                )?
             }
             Backend::Lazy { trace, .. } => {
                 SuccessCurves::compute_windowed(trace, &opts, &[self.meta.window])
@@ -529,15 +494,15 @@ impl Engine {
     fn stats(&self) -> StatsAnswer {
         let (shards, rows, max_useful_hops) = match &self.backend {
             // `max_useful_hops` reads only the shards already verified —
-            // a stats query must not force the whole set to decode.
+            // a stats query must not force the whole set to be walked.
             Backend::Shards(set) => (
                 set.shards().len(),
                 set.num_rows(),
                 set.shards()
                     .iter()
-                    .filter_map(omnet_artifact::MappedShard::materialized_rows)
+                    .filter_map(omnet_artifact::MappedShard::verified_rows)
                     .flatten()
-                    .map(SourceProfiles::converged_at)
+                    .map(|r| r.converged_at())
                     .max(),
             ),
             Backend::Lazy { memo, .. } => {
@@ -571,6 +536,46 @@ fn kind(q: &Query) -> &'static str {
     }
 }
 
+/// `source`'s row, read in place from its shard.
+fn shard_row(set: &MappedSet, source: u32) -> Result<RowRef<'_>, QueryError> {
+    match set.row_ref(source) {
+        Ok(Some(row)) => Ok(row),
+        Ok(None) => Err(QueryError::ShardMissing { source }),
+        Err(e) => Err(rejected(source, &e)),
+    }
+}
+
+fn rejected(source: u32, e: &ArtifactError) -> QueryError {
+    QueryError::ShardRejected {
+        source,
+        message: e.to_string(),
+    }
+}
+
+/// The artifact-only path answer: the arrival and the least hop class
+/// that attains it, without a concrete route.
+fn path_from_row(row: RowRef<'_>, dst: u32, at: Time) -> Result<PathAnswer, QueryError> {
+    let src = row.source().0;
+    let arrival = row.delivery(NodeId(dst), at, HopBound::Unlimited);
+    if arrival == Time::INF {
+        return Ok(unreachable_path(src, dst, at));
+    }
+    let hops = row
+        .class_deliveries(NodeId(dst), at)
+        .position(|a| a == arrival)
+        .map_or(row.converged_at(), |i| i + 1);
+    Ok(PathAnswer {
+        src,
+        dst,
+        at,
+        reachable: true,
+        arrival,
+        delay: arrival.since(at),
+        hops,
+        route: None,
+    })
+}
+
 fn unreachable_path(src: u32, dst: u32, at: Time) -> PathAnswer {
     PathAnswer {
         src,
@@ -587,7 +592,7 @@ fn unreachable_path(src: u32, dst: u32, at: Time) -> PathAnswer {
 /// The Dijkstra-witness path answer — identical semantics to the original
 /// `omnet path` command, including the concrete contact chain.
 fn path_from_trace(trace: &Trace, src: u32, dst: u32, at: Time) -> PathAnswer {
-    let tree = earliest_arrival(trace, NodeId(src), at);
+    let tree = earliest_arrival_to(trace, NodeId(src), at, NodeId(dst));
     let Some(p) = tree.path_to(trace, NodeId(dst)) else {
         return unreachable_path(src, dst, at);
     };

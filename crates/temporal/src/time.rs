@@ -165,14 +165,35 @@ impl PartialEq for Time {
     }
 }
 impl Eq for Time {}
+// Every constructor rejects NaN and maps −0 to +0, so the IEEE order is
+// total on `Time` values and agrees with `f64::total_cmp`; the plain
+// comparisons are cheaper on the induction's hot path.
 impl Ord for Time {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.total_cmp(&other.0)
+        if self.0 < other.0 {
+            std::cmp::Ordering::Less
+        } else if self.0 > other.0 {
+            std::cmp::Ordering::Greater
+        } else {
+            std::cmp::Ordering::Equal
+        }
     }
 }
 impl PartialOrd for Time {
     fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
         Some(self.cmp(other))
+    }
+    fn lt(&self, other: &Self) -> bool {
+        self.0 < other.0
+    }
+    fn le(&self, other: &Self) -> bool {
+        self.0 <= other.0
+    }
+    fn gt(&self, other: &Self) -> bool {
+        self.0 > other.0
+    }
+    fn ge(&self, other: &Self) -> bool {
+        self.0 >= other.0
     }
 }
 impl std::hash::Hash for Time {
@@ -371,6 +392,57 @@ mod tests {
         assert_eq!(Time::secs(0.0) - Dur::secs(0.0), Time::ZERO);
         assert_eq!(Dur::secs(-0.0), Dur::ZERO);
         assert!((Time::secs(-0.0) >= Time::ZERO));
+    }
+
+    /// A value as the constructors produce it: the special values, small
+    /// integers (so equal pairs are common), raw bit patterns, and sums.
+    fn constructible(kind: u8, small: i64, bits: u64, other: f64) -> Option<Time> {
+        let x = match kind {
+            0 => f64::INFINITY,
+            1 => f64::NEG_INFINITY,
+            2 => -0.0,
+            3 => small as f64,
+            4 => f64::from_bits(bits),
+            _ => {
+                let sum = small as f64 + other;
+                return (!sum.is_nan()).then(|| Time::secs(small as f64) + Dur::secs(other));
+            }
+        };
+        (!x.is_nan()).then(|| Time::secs(x))
+    }
+
+    fn time_strategy() -> impl proptest::strategy::Strategy<Value = Time> {
+        use proptest::prelude::*;
+        (0u8..6, -3i64..3, 0u64..u64::MAX, -3.0f64..3.0)
+            .prop_filter_map("NaN is not constructible", |(kind, small, bits, other)| {
+                constructible(kind, small, bits, other)
+            })
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(2048))]
+
+        /// The IEEE comparisons `Ord` uses agree with `f64::total_cmp` on
+        /// every value a constructor can produce, `±∞` included.
+        #[test]
+        fn ieee_order_matches_total_cmp(a in time_strategy(), b in time_strategy()) {
+            let want = a.as_secs().total_cmp(&b.as_secs());
+            proptest::prop_assert_eq!(a.cmp(&b), want);
+            proptest::prop_assert_eq!(a.partial_cmp(&b), Some(want));
+            proptest::prop_assert_eq!(a < b, want.is_lt());
+            proptest::prop_assert_eq!(a <= b, want.is_le());
+            proptest::prop_assert_eq!(a > b, want.is_gt());
+            proptest::prop_assert_eq!(a >= b, want.is_ge());
+            proptest::prop_assert_eq!(a == b, want.is_eq());
+        }
+    }
+
+    #[test]
+    fn constructible_values_include_the_infinities() {
+        assert_eq!(constructible(0, 0, 0, 0.0), Some(Time::INF));
+        assert_eq!(constructible(1, 0, 0, 0.0), Some(Time::NEG_INF));
+        assert_eq!(constructible(2, 0, 0, 0.0), Some(Time::ZERO));
+        assert_eq!(constructible(4, 0, f64::NAN.to_bits(), 0.0), None);
     }
 
     #[test]

@@ -7,9 +7,11 @@
 //! strangers whose mutual contacts were never recorded.
 
 use crate::contact::{Contact, ContactId, Interval};
+use crate::csr::Csr;
 use crate::invariant::{self, InvariantViolation};
 use crate::node::NodeId;
 use crate::time::Time;
+use std::sync::OnceLock;
 
 /// An immutable contact trace: the §2–§3 contact process as data.
 #[derive(Debug, Clone)]
@@ -22,6 +24,10 @@ pub struct Trace {
     /// Nodes with id `>= internal` are external devices; `internal ==
     /// num_nodes` when every device is internal.
     internal: u32,
+    /// Per-node incidence lists, built on first use. The contacts never
+    /// change after construction, so the index never goes stale; a
+    /// rebuilt trace starts with an empty one.
+    adjacency: OnceLock<Adjacency>,
 }
 
 impl Trace {
@@ -46,6 +52,7 @@ impl Trace {
             contacts,
             span,
             internal,
+            adjacency: OnceLock::new(),
         };
         invariant::enforce(|| trace.validate());
         trace
@@ -121,14 +128,19 @@ impl Trace {
     }
 
     /// Per-node incident contact ids, each list sorted by contact start.
-    pub fn adjacency(&self) -> Adjacency {
-        let mut per_node: Vec<Vec<ContactId>> = vec![Vec::new(); self.num_nodes as usize];
-        for (i, c) in self.contacts.iter().enumerate() {
-            per_node[c.a.index()].push(ContactId(i as u32));
-            per_node[c.b.index()].push(ContactId(i as u32));
-        }
-        // contacts are start-sorted, so each per-node list already is.
-        Adjacency { per_node }
+    /// Built on the first call and kept with the trace.
+    pub fn adjacency(&self) -> &Adjacency {
+        self.adjacency.get_or_init(|| {
+            let incidences = self.contacts.iter().enumerate().flat_map(|(i, c)| {
+                let id = ContactId(i as u32);
+                [(c.a.0, id), (c.b.0, id)]
+            });
+            // The build is stable and contacts are start-sorted, so each
+            // per-node list already is.
+            Adjacency {
+                per_node: Csr::build(self.num_nodes as usize, incidences),
+            }
+        })
     }
 
     /// The static graph of pairs in contact at instant `t`, as an adjacency
@@ -159,13 +171,13 @@ impl Trace {
 /// §4.4 induction and the Dijkstra baseline).
 #[derive(Debug, Clone)]
 pub struct Adjacency {
-    per_node: Vec<Vec<ContactId>>,
+    per_node: Csr<ContactId>,
 }
 
 impl Adjacency {
     /// Contact ids incident to `n`, sorted by contact start.
     pub fn incident(&self, n: NodeId) -> &[ContactId] {
-        &self.per_node[n.index()]
+        self.per_node.row(n.index())
     }
 }
 

@@ -2,9 +2,10 @@
 //!
 //! The only command today is `lint`: a source-level analyzer enforcing the
 //! project's library-code rules — no panicking calls in lib crates, no raw
-//! f64 comparison of `Time` seconds outside `time.rs`, `#![deny(missing_docs)]`
-//! in every lib root, and paper-section citations (`§`) on public items of
-//! `omnet-core` / `omnet-temporal`. Pre-existing violations are grandfathered
+//! f64 comparison of `Time` seconds outside `time.rs`, no reserved record
+//! key as a trace field key, `#![deny(missing_docs)]` in every lib root, and
+//! paper-section citations (`§`) on public items of `omnet-core` /
+//! `omnet-temporal`. Pre-existing violations are grandfathered
 //! in `xtask-lint.allow`, whose counts can only go down.
 
 mod allowlist;

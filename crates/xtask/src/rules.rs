@@ -113,6 +113,7 @@ pub fn run_all(root: &Path) -> Vec<Violation> {
     no_raw_time_compare(&lib_sources, &mut v);
     unsafe_audit(&lib_sources, &mut v);
     atomic_ordering(&lib_sources, &mut v);
+    trace_field_keys(&lib_sources, &mut v);
     deny_missing_docs(root, &mut v);
     let cite_sources = load_sources(root, CITATION_CRATES);
     paper_citations(&cite_sources, &mut v);
@@ -318,6 +319,95 @@ fn atomic_ordering(files: &[SourceFile], out: &mut Vec<Violation>) {
     }
 }
 
+/// Keys every `omnet-obs` record writes ahead of its fields
+/// (`RESERVED_KEYS` in `crates/obs/src/record.rs`).
+const RESERVED_FIELD_KEYS: &[&str] = &["v", "kind", "name", "elapsed", "at"];
+
+/// The string literal starting at the first non-blank byte at or after
+/// `pos`, as `(offset of its opening quote, contents)`; `None` when the
+/// next token is not a plain string literal.
+fn literal_after<'a>(raw: &'a str, masked: &[u8], pos: usize) -> Option<(usize, &'a str)> {
+    let bytes = raw.as_bytes();
+    let start = pos
+        + bytes
+            .get(pos..)?
+            .iter()
+            .position(|b| !b.is_ascii_whitespace())?;
+    // The mask blanks a literal's quotes, so a code quote cannot slip in.
+    if bytes[start] != b'"' || masked[start] != b' ' {
+        return None;
+    }
+    let len = raw[start + 1..].find('"')?;
+    let key = &raw[start + 1..start + 1 + len];
+    (!key.contains('\\')).then_some((start, key))
+}
+
+/// Offset of the `)` closing the `(` at `open` in the masked source.
+fn closing_paren(masked: &[u8], open: usize) -> Option<usize> {
+    let mut depth = 0usize;
+    for (i, &b) in masked.iter().enumerate().skip(open) {
+        match b {
+            b'(' => depth += 1,
+            b')' => {
+                depth -= 1;
+                if depth == 0 {
+                    return Some(i);
+                }
+            }
+            _ => {}
+        }
+    }
+    None
+}
+
+/// Rule `trace-field-key`: a literal field key handed to a span or event
+/// builder — `.with("k", …)`, `.record("k", …)`, or a `("k", …)` field
+/// tuple inside an `event(…)` call — must not be one of the keys every
+/// record writes itself. A duplicate key in a JSON object resolves to the
+/// last value, so such a field would silently overwrite the record's own.
+fn trace_field_keys(files: &[SourceFile], out: &mut Vec<Violation>) {
+    for f in files {
+        let masked = f.analysis.masked.as_bytes();
+        let mut keys: Vec<(usize, &str)> = Vec::new();
+        for needle in [".with(", ".record("] {
+            for (i, _) in f.analysis.masked.match_indices(needle) {
+                keys.extend(literal_after(&f.raw, masked, i + needle.len()));
+            }
+        }
+        for (i, _) in f.analysis.masked.match_indices("event(") {
+            if i > 0 && (masked[i - 1].is_ascii_alphanumeric() || masked[i - 1] == b'_') {
+                continue;
+            }
+            let open = i + "event".len();
+            let Some(close) = closing_paren(masked, open) else {
+                continue;
+            };
+            for j in open + 1..close {
+                if masked[j] == b'(' {
+                    keys.extend(literal_after(&f.raw, masked, j + 1));
+                }
+            }
+        }
+        for (at, key) in keys {
+            let line = f.raw[..at].matches('\n').count();
+            if *f.analysis.in_test.get(line).unwrap_or(&false)
+                || !RESERVED_FIELD_KEYS.contains(&key)
+            {
+                continue;
+            }
+            out.push(Violation {
+                rule: "trace-field-key",
+                file: f.rel.clone(),
+                line: line + 1,
+                message: format!(
+                    "trace field key `{key}` collides with a key every record writes \
+                     (v, kind, name, elapsed, at) — rename the field"
+                ),
+            });
+        }
+    }
+}
+
 /// Rule `deny-docs`: every library crate root must carry
 /// `#![deny(missing_docs)]`.
 fn deny_missing_docs(root: &Path, out: &mut Vec<Violation>) {
@@ -470,6 +560,39 @@ mod tests {
                 "planted panic in {file} not caught: {v:?}"
             );
         }
+    }
+
+    #[test]
+    fn planted_reserved_trace_keys_are_caught() {
+        let src = "#![deny(missing_docs)]
+fn f() {
+    let _a = omnet_obs::span(\"a\").with(\"kind\", 1);
+    let mut b = omnet_obs::span(\"b\").with(\"query\", 2);
+    b.record(
+        \"elapsed\",
+        3,
+    );
+    omnet_obs::event(\"e\", &[(\"level\", 4.into()), (\"at\", 5.into())]);
+    prevent((\"name\", 6));
+    // .with(\"v\", 7)
+    let _s = \".record(\\\"name\\\", 8)\";
+}
+#[cfg(test)]
+mod tests {
+    fn g() { omnet_obs::event(\"t\", &[(\"v\", 9.into())]); }
+}
+";
+        let root = scratch("trace-field-key", &[("crates/serve/src/lib.rs", src)]);
+        let mut lines: Vec<usize> = run_all(&root)
+            .iter()
+            .filter(|v| v.rule == "trace-field-key")
+            .map(|v| v.line)
+            .collect();
+        lines.sort_unstable();
+        // `kind` on line 3, `elapsed` on line 6, `at` on line 9; the
+        // allowed keys, the non-event call, the comment, the string and
+        // the test module are not flagged.
+        assert_eq!(lines, vec![3, 6, 9]);
     }
 
     #[test]

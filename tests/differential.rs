@@ -12,15 +12,21 @@
 //! same checks stay active in release builds — that is the CI
 //! `strict-invariants` job.
 
+use omnet_artifact::codec::fnv1a64;
+use omnet_artifact::{load_shard, write_set, ArtifactError, ArtifactMeta};
 use omnet_core::{
     cross_check, AllPairsProfiles, Arcs, ContactDelta, CrossCheckOptions, HopBound,
     IncrementalProfiles, ProfileOptions, SourceProfiles,
 };
+use omnet_mobility::Dataset;
+use omnet_serve::{Engine, Query, QueryError, QueryResponse};
 use omnet_temporal::invariant::{self, InvariantViolation};
 use omnet_temporal::{Contact, ContactSeq, NodeId, Time, Trace, TraceBuilder};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 /// A random small trace: up to `max_nodes` devices, `max_contacts`
 /// contacts with start times in `[0, horizon)`.
@@ -546,4 +552,294 @@ fn random_delta(rng: &mut StdRng, engine: &IncrementalProfiles) -> ContactDelta 
         }
     }
     delta
+}
+
+/// A fresh scratch directory for one test's artifact set.
+fn artifact_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("omnet-diff-{tag}-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    dir
+}
+
+/// Precomputes `trace` into `shards` artifact files under `dir` and maps
+/// them with no trace attached; returns the engine and the computed rows.
+fn mapped_engine(
+    trace: &Trace,
+    opts: ProfileOptions,
+    shards: u32,
+    dir: &Path,
+) -> (Engine, AllPairsProfiles) {
+    let all = AllPairsProfiles::compute(trace, opts);
+    let meta = ArtifactMeta {
+        dataset_key: "diff".into(),
+        num_nodes: trace.num_nodes(),
+        num_internal: trace.num_internal(),
+        window: trace.span(),
+        options: opts,
+    };
+    write_set(dir, "diff", &meta, all.rows(), shards).expect("write set");
+    (Engine::load_dir(dir).expect("map set"), all)
+}
+
+/// The cross-backend differential: an engine over mapped artifacts only
+/// answers like a trace-backed engine. `delivery` must agree exactly at
+/// every bound, `diameter` on internal and all pairs, and `stats` on the
+/// dataset identity. `path` is compared on `reachable` and `arrival` only:
+/// its hop count differs between the backends (the trace backend reports
+/// the Dijkstra tree's hops, not the least hop class), so the artifact hop
+/// count is checked against the decoded row instead.
+fn assert_backends_agree(trace: &Trace, opts: ProfileOptions, shards: u32, tag: &str, seed: u64) {
+    let dir = artifact_dir(tag);
+    let (mapped, all) = mapped_engine(trace, opts, shards, &dir);
+    let lazy = Engine::from_trace(Arc::new(trace.clone()), opts, "diff");
+    let n = trace.num_nodes();
+    let (lo, hi) = (trace.span().start.as_secs(), trace.span().end.as_secs());
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut bounds: Vec<HopBound> = (0..=opts.store_levels + 2).map(HopBound::AtMost).collect();
+    bounds.push(HopBound::Unlimited);
+    // Half the endpoints are internal devices, which meet far more often.
+    let internal = trace.num_internal().max(1);
+    let node = |rng: &mut StdRng| {
+        let limit = if rng.gen() { internal } else { n };
+        rng.gen_range(0..limit)
+    };
+    let mut reached = 0;
+    for _ in 0..300 {
+        let (src, dst) = (node(&mut rng), node(&mut rng));
+        let at = Time::secs(rng.gen_range(lo - 60.0..hi + 60.0).round());
+        for &bound in &bounds {
+            let q = Query::Delivery {
+                src,
+                dst,
+                at,
+                bound,
+            };
+            assert_eq!(mapped.answer(&q), lazy.answer(&q), "{tag}: {q:?}");
+        }
+        if src != dst {
+            let q = Query::Path { src, dst, at };
+            match (mapped.answer(&q), lazy.answer(&q)) {
+                (Ok(QueryResponse::Path(m)), Ok(QueryResponse::Path(l))) => {
+                    assert_eq!(
+                        (m.reachable, m.arrival),
+                        (l.reachable, l.arrival),
+                        "{tag}: {q:?}"
+                    );
+                    reached += usize::from(m.reachable);
+                    // The artifact hop count: the least stored class that
+                    // attains the arrival, as the decoded row gives it.
+                    let row = all.from_source(NodeId(src));
+                    let hops = (1..=row.stored_levels())
+                        .find(|&k| row.delivery(NodeId(dst), at, HopBound::AtMost(k)) == m.arrival)
+                        .unwrap_or(row.converged_at());
+                    if m.reachable {
+                        assert_eq!(m.hops, hops, "{tag}: {q:?} hop class");
+                    }
+                }
+                other => panic!("{tag}: {q:?} answered {other:?}"),
+            }
+        }
+    }
+    assert!(reached >= 30, "{tag}: only {reached} reachable paths drawn");
+    if opts == ProfileOptions::default() {
+        for internal_only in [true, false] {
+            let q = Query::Diameter {
+                eps: 0.05,
+                max_hops: 6,
+                internal_only,
+            };
+            assert_eq!(mapped.answer(&q), lazy.answer(&q), "{tag}: {q:?}");
+        }
+    }
+    let (Ok(QueryResponse::Stats(m)), Ok(QueryResponse::Stats(l))) =
+        (mapped.answer(&Query::Stats), lazy.answer(&Query::Stats))
+    else {
+        panic!("{tag}: stats failed");
+    };
+    assert_eq!(
+        (
+            m.dataset_key,
+            m.num_nodes,
+            m.num_internal,
+            m.window,
+            m.options
+        ),
+        (
+            l.dataset_key,
+            l.num_nodes,
+            l.num_internal,
+            l.window,
+            l.options
+        ),
+        "{tag}: stats identity"
+    );
+    assert_eq!(m.shards, shards as usize);
+    assert_eq!(m.rows, n as usize);
+    // Every shard has been read by now, so the hop figure covers all rows.
+    let deepest = all.rows().iter().map(SourceProfiles::converged_at).max();
+    assert_eq!(m.max_useful_hops, deepest, "{tag}: max_useful_hops");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A small trace with repeated contacts, so rows carry multi-pair
+/// frontiers and multi-entry runs.
+fn toy_trace() -> Trace {
+    TraceBuilder::new()
+        .num_nodes(6)
+        .contact_secs(0, 1, 0.0, 10.0)
+        .contact_secs(0, 1, 100.0, 110.0)
+        .contact_secs(0, 1, 200.0, 210.0)
+        .contact_secs(0, 3, 50.0, 60.0)
+        .contact_secs(1, 2, 20.0, 30.0)
+        .contact_secs(1, 2, 120.0, 130.0)
+        .contact_secs(2, 3, 40.0, 50.0)
+        .contact_secs(3, 4, 60.0, 70.0)
+        .contact_secs(3, 4, 140.0, 150.0)
+        .contact_secs(4, 5, 80.0, 90.0)
+        .contact_secs(4, 5, 300.0, 320.0)
+        .build()
+}
+
+#[test]
+fn mapped_artifacts_answer_like_the_trace_engine_on_the_toy_trace() {
+    let t = toy_trace();
+    assert_backends_agree(&t, ProfileOptions::default(), 2, "toy", 1);
+    let shallow = ProfileOptions::builder().store_levels(2).build();
+    assert_backends_agree(&t, shallow, 3, "toy-shallow", 2);
+}
+
+#[test]
+fn mapped_artifacts_answer_like_the_trace_engine_on_infocom05() {
+    let t = Dataset::Infocom05.generate_days(0.2, 7);
+    assert_backends_agree(&t, ProfileOptions::default(), 3, "infocom05", 7);
+}
+
+/// Where row 0's first level run starts in a one-shard file, and the
+/// header length: `u32 row count`, then `source`, `converged_at`, the
+/// `converged` byte and the level count.
+fn first_level_run(file: &[u8]) -> (usize, usize) {
+    let header_len = u32::from_le_bytes(file[12..16].try_into().unwrap()) as usize;
+    (header_len, header_len + 4 + 4 + 4 + 1 + 4)
+}
+
+/// Rewrites the ROWS checksum (and the header checksum over it) after a
+/// patch to a one-shard file of `body_len` body bytes, so that only the
+/// row walk can reject the patch.
+fn fix_checksums(file: &mut [u8], body_len: usize) {
+    let (header_len, _) = first_level_run(file);
+    // The one-section table ends the header: id (4), len (8), checksum
+    // (8), then the header checksum (8).
+    let entry = header_len - 8 - 20;
+    file[entry + 4..entry + 12].copy_from_slice(&(body_len as u64).to_le_bytes());
+    let ck = fnv1a64(&file[header_len..header_len + body_len]);
+    file[entry + 12..entry + 20].copy_from_slice(&ck.to_le_bytes());
+    let ck = fnv1a64(&file[..header_len - 8]);
+    file[header_len - 8..header_len].copy_from_slice(&ck.to_le_bytes());
+}
+
+/// Corruptions aimed at the row walk, each with valid checksums: both
+/// loaders reject the shard with the same error, the engine answers
+/// `ShardRejected` carrying it before serving any row, and keeps doing so.
+#[test]
+fn row_walk_rejects_checksummed_corruption() {
+    let t = toy_trace();
+    let dir = artifact_dir("walk");
+    let (engine, _) = mapped_engine(&t, ProfileOptions::default(), 1, &dir);
+    drop(engine);
+    let path = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .find(|p| p.extension().is_some_and(|e| e == "omna"))
+        .unwrap();
+    let good = std::fs::read(&path).unwrap();
+    let (header_len, run) = first_level_run(&good);
+    let body_len = good.len() - header_len;
+    // Source 0's level 1 reaches node 1 over three contacts and node 3
+    // over one: entry 0 is dest 1 with three pairs, entry 1 is dest 3.
+    let u32_at = |at: usize| u32::from_le_bytes(good[at..at + 4].try_into().unwrap());
+    assert_eq!(u32_at(run), 2, "level 1 entries");
+    let entry0 = run + 4;
+    assert_eq!((u32_at(entry0), u32_at(entry0 + 4)), (1, 3));
+    let entry1 = entry0 + 8 + 3 * 16;
+    assert_eq!(u32_at(entry1), 3);
+    let pair = move |i: usize| entry0 + 8 + 16 * i;
+
+    /// What is patched, the patch, and the rejection it must cause.
+    type Case = (
+        &'static str,
+        Box<dyn Fn(&mut Vec<u8>)>,
+        fn(&ArtifactError) -> bool,
+    );
+    let cases: Vec<Case> = vec![
+        (
+            "NaN pair",
+            Box::new(move |f| f[pair(1)..pair(1) + 8].copy_from_slice(&f64::NAN.to_le_bytes())),
+            |e| matches!(e, ArtifactError::Corrupt { context } if context.contains("NaN")),
+        ),
+        (
+            "unsorted destinations",
+            Box::new(move |f| {
+                f[entry0..entry0 + 4].copy_from_slice(&3u32.to_le_bytes());
+                f[entry1..entry1 + 4].copy_from_slice(&1u32.to_le_bytes());
+            }),
+            |e| e.to_string().contains("level 1 destinations unsorted"),
+        ),
+        (
+            "non-increasing frontier",
+            Box::new(move |f| {
+                let ld = f[pair(0)..pair(0) + 8].to_vec();
+                f[pair(1)..pair(1) + 8].copy_from_slice(&ld);
+            }),
+            |e| {
+                e.to_string()
+                    .contains("level 1 run for destination 1 is not a valid frontier")
+            },
+        ),
+        (
+            "truncated run",
+            Box::new(move |f| f.truncate(f.len() - 16)),
+            |e| {
+                matches!(
+                    e,
+                    ArtifactError::Truncated {
+                        context: "run pairs"
+                    }
+                )
+            },
+        ),
+    ];
+    for (what, patch, expected) in cases {
+        let mut bad = good.clone();
+        patch(&mut bad);
+        let len = bad.len() - header_len;
+        fix_checksums(&mut bad, len);
+        assert!(!(len == body_len && bad == good), "{what}: no-op patch");
+        std::fs::write(&path, &bad).unwrap();
+
+        let buffered = load_shard(&path).map(|_| ()).unwrap_err();
+        assert!(
+            expected(&buffered),
+            "{what}: buffered loader said {buffered}"
+        );
+        let engine = Engine::load_dir(&dir).unwrap();
+        let q = Query::Delivery {
+            src: 3,
+            dst: 4,
+            at: Time::ZERO,
+            bound: HopBound::Unlimited,
+        };
+        for _ in 0..2 {
+            match engine.answer(&q) {
+                Err(QueryError::ShardRejected { source: 3, message }) => {
+                    assert_eq!(message, buffered.to_string(), "{what}");
+                }
+                other => panic!("{what}: expected ShardRejected, got {other:?}"),
+            }
+        }
+        let Ok(QueryResponse::Stats(stats)) = engine.answer(&Query::Stats) else {
+            panic!("{what}: stats failed");
+        };
+        assert_eq!(stats.max_useful_hops, None, "{what}: a row was served");
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
