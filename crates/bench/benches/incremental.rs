@@ -10,16 +10,17 @@
 //!   trace (`remove_ids`) and run a cold `AllPairsProfiles::compute`.
 //! * **incremental** — the `omnet_core::incremental` engine: clone the
 //!   pre-built base rows once, then apply each level as a
-//!   `ContactDelta::remove_only`, recomputing only the rows whose
-//!   dependency sets intersect the removed contacts.
+//!   `ContactDelta::remove_only`, rebuilding only the rows whose
+//!   dependency sets intersect the removed contacts, each inside the
+//!   removed contact's time box.
 //!
 //! The base build — and the clone of its rows each repetition mutates —
 //! sit *outside* the timed region for the incremental arm: this mirrors
 //! the fig10 workflow, where the substrate's rows exist before the sweep
 //! starts (and are shared with the keep-100% panel). What is timed is
 //! exactly the per-level delta application: dirty-set intersection,
-//! overlay edit, rematerialization and the row recomputes (suffix
-//! replays where the dependency levels allow).
+//! overlay edit, rematerialization and the time-boxed row repairs (each
+//! from the row's dirty level).
 //!
 //! Gate: the incremental sweep must be ≥ 2× faster than the batch sweep.
 //! Exactness is asserted inline: after the sweep the engine's rows must
@@ -158,8 +159,8 @@ fn main() {
         "{{\n  \"pr\": 9,\n  \"bench\": \"incremental\",\n  \
          \"metric\": \"10-level cumulative random-removal sweep on infocom06_2day (step {step} \
          contacts/level, best of {reps}): per-level cold AllPairsProfiles::compute vs \
-         IncrementalProfiles deltas against a pre-built base (clone untimed, repair-mode \
-         level-suffix replays on); peak RSS sampled per arm after a high-water-mark reset\",\n  \
+         IncrementalProfiles deltas against a pre-built base (clone untimed, dirty rows \
+         repaired inside each removal's time box); peak RSS sampled per arm after a high-water-mark reset\",\n  \
          \"threads\": {threads},\n  \"speedup_floor\": {SPEEDUP_FLOOR},\n  \
          \"nodes\": {n},\n  \"contacts\": {m},\n  \"levels\": {LEVELS},\n  \
          \"removed_per_level\": {step},\n  \
